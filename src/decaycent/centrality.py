@@ -17,23 +17,24 @@ pinned to the direct evaluation by the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import (
-    DistanceProfile,
-    Graph,
-    all_profiles,
-    profile_matrix,
-)
+from .graph import DistanceProfile, Graph, profile_matrix
 
 #: Float window inside which two decay values are handed to the exact
 #: rational comparison instead of being trusted as distinct.
 TIE_PREFILTER = 1e-9
+
+#: Unit roundoff of IEEE double precision.
+UNIT_ROUNDOFF = 2.0**-53
+#: Spacing of the subnormal doubles: the largest absolute error of one
+#: rounded multiplication whose result underflows.
+SUBNORMAL_SPACING = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,12 @@ class DeltaGrid:
         return iter(self.values)
 
     def fractions(self) -> tuple[Fraction, ...]:
-        """Exact rational values of the grid floats."""
-        return tuple(Fraction(v) for v in self.values)
+        """Exact rational values of the grid floats, built once per grid."""
+        cached = self.__dict__.get("_fractions")
+        if cached is None:
+            cached = tuple(Fraction(v) for v in self.values)
+            object.__setattr__(self, "_fractions", cached)
+        return cached
 
 
 def _as_counts(profile: DistanceProfile | Sequence[int]) -> Sequence[int]:
@@ -100,22 +105,36 @@ def decay_curve(
     return np.array([decay_centrality(counts, d) for d in grid], dtype=np.float64)
 
 
+def live_levels(profiles: np.ndarray) -> int:
+    """Number of leading profile columns that hold every nonzero count (the
+    largest eccentricity among the rows); later columns are all zero."""
+    live = np.flatnonzero(profiles.any(axis=0))
+    return int(live[-1]) + 1 if len(live) else 0
+
+
 def decay_matrix(profiles: np.ndarray, grid: DeltaGrid) -> np.ndarray:
     """Batch decay evaluation: ``(n, len(grid))`` array from a profile matrix.
 
-    All terms are nonnegative, so the matrix product loses no more than a
-    few ulps relative to the Horner path; exact tie handling never relies
-    on these floats alone.
+    Runs Horner's scheme on the whole array at once, from the largest live
+    level down.  Each entry goes through the same float operations, in the
+    same order, as :func:`decay_centrality` on that row and grid value (the
+    skipped all-zero levels leave its accumulator at exactly 0.0), so
+    ``decay_matrix(P, grid)[i, g] == decay_centrality(P[i], grid.values[g])``
+    holds bit for bit, and reports built from either agree byte for byte.
     """
-    levels = profiles.shape[1]
-    gridvals = np.asarray(grid.values, dtype=np.float64)
-    powers = gridvals[None, :] ** np.arange(1, levels + 1, dtype=np.float64)[:, None]
-    return profiles.astype(np.float64) @ powers
+    deltas = np.asarray(grid.values, dtype=np.float64)
+    top = live_levels(profiles)
+    counts = profiles[:, :top].astype(np.float64)
+    acc = np.zeros((profiles.shape[0], len(deltas)), dtype=np.float64)
+    for level in range(top - 1, -1, -1):
+        acc *= deltas
+        acc += counts[:, level, None]
+    return acc * deltas
 
 
-def farness_from_counts(counts: Sequence[int]) -> int:
-    """Sum of geodesic distances to all other nodes."""
-    return sum(l * c for l, c in enumerate(counts, start=1))
+def farness_vector(profiles: np.ndarray) -> np.ndarray:
+    """Farness of every row of a profile matrix (exact int64 dot product)."""
+    return profiles @ np.arange(1, profiles.shape[1] + 1, dtype=np.int64)
 
 
 def fvec_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
@@ -124,17 +143,22 @@ def fvec_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
     Entry ``k`` (1-based) is ``(-1)**(k-1) * sum_{l>=k} C(l, k) * counts[l-1]``,
     computed in exact integer arithmetic; entry 1 is the farness.  The sign
     alternates (or the entry is zero) because every summand is nonnegative.
+
+    ``sum_{l>=k} C(l, k) * counts[l-1]`` is the ``x**k`` coefficient of
+    ``sum_l counts[l-1] * (1 + x)**l``, expanded here by Horner's scheme in
+    ``1 + x`` (each step a shift-and-add of integer coefficients).  Entries
+    past the node's eccentricity are zero, so the work is O(ecc**2).
     """
     n1 = len(counts)
-    out: list[int] = []
-    for k in range(1, n1 + 1):
-        total = 0
-        for l in range(k, n1 + 1):
-            c = counts[l - 1]
-            if c:
-                total += math.comb(l, k) * c
-        out.append(total if k % 2 == 1 else -total)
-    return tuple(out)
+    ecc = n1
+    while ecc and not counts[ecc - 1]:
+        ecc -= 1
+    poly = [0]  # ascending coefficients in x
+    for l in range(ecc, 0, -1):
+        poly[0] += int(counts[l - 1])
+        poly = [a + b for a, b in zip(poly + [0], [0] + poly)]
+    signed = [c if k % 2 == 1 else -c for k, c in enumerate(poly[1:], start=1)]
+    return tuple(signed) + (0,) * (n1 - ecc)
 
 
 def cvec_from_fvec(fvec: Sequence[int]) -> tuple[float, ...]:
@@ -142,25 +166,44 @@ def cvec_from_fvec(fvec: Sequence[int]) -> tuple[float, ...]:
     return tuple(0.0 if f == 0 else float(Fraction(1, f)) for f in fvec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityTable:
     """All per-node centrality quantities for one connected graph.
 
+    Built from one profile matrix (:attr:`counts`, shape ``(n, n - 1)``).
     Farness is exact; closeness is kept as the exact rational ``1/farness``
     (see :meth:`closeness_exact`) with :attr:`closeness` as the float view,
-    so maximizer ties stay exact.
+    so maximizer ties stay exact.  The per-node profile objects and the
+    signed vectors are built on first use only; :meth:`fvec` builds one
+    node's vector.
     """
 
     graph: Graph
-    profiles: tuple[DistanceProfile, ...]
+    counts: np.ndarray
     degrees: tuple[int, ...]
     farness: tuple[int, ...]
-    fvecs: tuple[tuple[int, ...], ...]
-    cvecs: tuple[tuple[float, ...], ...]
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def profiles(self) -> tuple[DistanceProfile, ...]:
+        return tuple(
+            DistanceProfile(node=i, counts=tuple(row))
+            for i, row in enumerate(self.counts.tolist())
+        )
+
+    def fvec(self, node: int) -> tuple[int, ...]:
+        return fvec_from_counts(self.counts[node].tolist())
+
+    @cached_property
+    def fvecs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.fvec(i) for i in range(self.n))
+
+    @cached_property
+    def cvecs(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(cvec_from_fvec(f) for f in self.fvecs)
 
     @property
     def closeness(self) -> tuple[float, ...]:
@@ -170,29 +213,22 @@ class CentralityTable:
         return Fraction(1, self.farness[node])
 
     def decay(self, node: int, delta: float) -> float:
-        return decay_centrality(self.profiles[node], delta)
+        return decay_centrality(self.counts[node].tolist(), delta)
 
     def decay_values(self, grid: DeltaGrid) -> np.ndarray:
-        mat = np.array([p.counts for p in self.profiles], dtype=np.int64)
-        return decay_matrix(mat, grid)
+        return decay_matrix(self.counts, grid)
 
 
 def centrality_table(g: Graph) -> CentralityTable:
     """Populate every quantity; requires a connected graph with ``n >= 2``."""
     if g.n < 2:
         raise ValueError("centrality table needs at least two nodes")
-    profiles = tuple(all_profiles(g))
-    degrees = tuple(p.degree for p in profiles)
-    farness = tuple(farness_from_counts(p.counts) for p in profiles)
-    fvecs = tuple(fvec_from_counts(p.counts) for p in profiles)
-    cvecs = tuple(cvec_from_fvec(f) for f in fvecs)
+    profiles = profile_matrix(g)
     return CentralityTable(
         graph=g,
-        profiles=profiles,
-        degrees=degrees,
-        farness=farness,
-        fvecs=fvecs,
-        cvecs=cvecs,
+        counts=profiles,
+        degrees=tuple(profiles[:, 0].tolist()),
+        farness=tuple(farness_vector(profiles).tolist()),
     )
 
 
@@ -293,3 +329,29 @@ def dc_difference_sign(
         acc = acc * num + diffs[l - 1] * den_pow
         den_pow *= den
     return (acc > 0) - (acc < 0)
+
+
+def dc_difference_float(
+    diffs: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float values of ``sum_l diffs[r, l-1] * delta**l`` for every row ``r``
+    of an integer array, with a bound on each value's absolute error.
+
+    ``L`` is the number of levels up to the last nonzero column.  The
+    powers come from repeated multiplication and the sums from one
+    matrix-vector product; the bound, ``4*gamma_L*sum_l |d_l| delta**l``
+    (evaluated with the computed powers, ``gamma_L = L*u / (1 - L*u)``
+    with ``u`` the unit roundoff) plus ``2*L*(|d|_1 + 1)`` subnormal
+    spacings for underflow, is derived in
+    :func:`decaycent.ordering.decay_argmax_sets`.  A value above its bound
+    is certainly positive, one below minus its bound certainly negative.
+    """
+    levels = live_levels(diffs)
+    d = diffs[:, :levels].astype(np.float64)
+    powers = np.cumprod(np.full(levels, delta, dtype=np.float64))
+    values = d @ powers
+    magnitude = np.abs(d) @ powers
+    lu = levels * UNIT_ROUNDOFF
+    gamma = lu / (1.0 - lu)
+    underflow = (2 * levels) * (np.abs(diffs).sum(axis=1) + 1) * SUBNORMAL_SPACING
+    return values, 4.0 * gamma * magnitude + underflow

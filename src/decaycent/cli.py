@@ -15,9 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .centrality import DeltaGrid, centrality_table, dc_difference_coeffs
+from .centrality import DeltaGrid, centrality_table, dc_difference_coeffs, decay_matrix
 from .generation import DEFAULT_MAX_REJECTS, RejectionLimitError
-from .graph import DisconnectedGraphError, is_connected
+from .graph import DisconnectedGraphError
 from .io import (
     GraphParseError,
     centrality_csv,
@@ -148,15 +148,22 @@ def _resolve_sim_settings(args) -> tuple[SimulationConfig, str]:
     return SimulationConfig(**settings), out_dir
 
 
+def _connected_table(g, name: str):
+    """Centrality table of a graph file's graph; a disconnected graph is a
+    data error that names the file."""
+    try:
+        return centrality_table(g)
+    except DisconnectedGraphError as exc:
+        raise DisconnectedGraphError(
+            f"{name}: {exc}; centrality needs a connected graph"
+        ) from None
+
+
 def _cmd_compute(args) -> int:
     g = read_graph(args.graph, fmt=args.format)
-    if not is_connected(g):
-        raise DisconnectedGraphError(
-            f"{args.graph}: graph is disconnected; centrality needs a connected graph"
-        )
     grid = DeltaGrid.uniform(args.grid_points)
-    table = centrality_table(g)
-    sets = maximizer_sets(g, grid)
+    table = _connected_table(g, args.graph)
+    sets = maximizer_sets(g, grid, profiles=table.counts)
     csv_text = centrality_csv(table, grid)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -181,24 +188,21 @@ def _cmd_compare(args) -> int:
             raise ValueError(f"unknown node id {node} (graph has nodes 0..{g.n - 1})")
     if i == j:
         raise ValueError("compare needs two distinct nodes")
-    if not is_connected(g):
-        raise DisconnectedGraphError(f"{args.graph}: graph is disconnected")
     grid = DeltaGrid.uniform(args.grid_points)
-    table = centrality_table(g)
-    pi, pj = table.profiles[i], table.profiles[j]
-    fi, fj = table.fvecs[i], table.fvecs[j]
+    table = _connected_table(g, args.graph)
+    pi, pj = table.counts[i].tolist(), table.counts[j].tolist()
+    fi, fj = table.fvec(i), table.fvec(j)
     avec, bvec = dc_difference_coeffs(pi, pj)
-    curve = [
-        table.decay(i, d) - table.decay(j, d) for d in grid.values
-    ]
+    dc = decay_matrix(table.counts[[i, j]], grid)
+    curve = (dc[0] - dc[1]).tolist()
     low = check_low_delta_conditions(pi, pj)
     high = check_high_delta_conditions(fi, fj)
     payload = {
         "nodes": {"i": i, "j": j},
-        "profiles": {"i": list(pi.counts), "j": list(pj.counts)},
+        "profiles": {"i": pi, "j": pj},
         "fvecs": {"i": list(fi), "j": list(fj)},
         "verdicts": {
-            "lex_profile": lex_compare(pi.counts, pj.counts),
+            "lex_profile": lex_compare(pi, pj),
             "lex_cvec": lex_compare_cvec(fi, fj),
             "profile_dominance": check_profile_dominance(pi, pj),
             "farness_dominance": check_farness_dominance(fi, fj),

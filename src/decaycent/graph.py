@@ -171,15 +171,20 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 def profile_matrix(g: Graph) -> np.ndarray:
     """Distance-count matrix of shape ``(n, n - 1)``; row ``i`` is node
-    ``i``'s profile.  Column ``l - 1`` counts nodes at distance ``l``."""
+    ``i``'s profile.  Column ``l - 1`` counts nodes at distance ``l``.
+
+    All levels are counted by one ``bincount`` over ``row * (D + 1) + dist``
+    (``D`` the diameter), so the work is O(n^2) whatever the diameter.
+    """
     n = g.n
     out = np.zeros((n, max(n - 1, 0)), dtype=np.int64)
     if n <= 1:
         return out
     dist = distance_matrix(g)
-    dmax = int(dist.max())
-    for level in range(1, dmax + 1):
-        out[:, level - 1] = (dist == level).sum(axis=1)
+    width = int(dist.max()) + 1
+    keys = dist + (np.arange(n, dtype=np.int64) * width)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=n * width).reshape(n, width)
+    out[:, : width - 1] = counts[:, 1:]
     return out
 
 

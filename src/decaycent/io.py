@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .centrality import CentralityTable, DeltaGrid, decay_curve
+from .centrality import CentralityTable, DeltaGrid
 from .graph import Graph, build_graph
 from .meta import conventions, version_string
 from .ordering import MaximizerSets
@@ -130,8 +130,13 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".9g")
 
 
+_PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
 def jsonable(obj: Any) -> Any:
     """Recursively convert package types to JSON-encodable values."""
+    if type(obj) in _PLAIN_TYPES:
+        return obj
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, Fraction):
@@ -172,8 +177,7 @@ def centrality_csv(table: CentralityTable, grid: DeltaGrid) -> str:
         f"dc@{fmt_float(d)}" for d in grid.values
     ]
     lines = [",".join(header)]
-    for i in range(table.n):
-        dcs = decay_curve(table.profiles[i], grid)
+    for i, dcs in enumerate(table.decay_values(grid).tolist()):
         row = [
             str(i),
             str(table.degrees[i]),
@@ -193,13 +197,13 @@ def centrality_payload(
     """JSON payload for the centrality report; ``full`` adds the profile and
     signed-farness / reciprocal vectors per node."""
     nodes = []
-    for i in range(table.n):
+    for i, dcs in enumerate(table.decay_values(grid).tolist()):
         entry: dict[str, Any] = {
             "node": i,
             "degree": table.degrees[i],
             "farness": table.farness[i],
             "closeness": 1.0 / table.farness[i],
-            "dc": [float(v) for v in decay_curve(table.profiles[i], grid)],
+            "dc": dcs,
         }
         if full:
             entry["profile"] = list(table.profiles[i].counts)

@@ -27,8 +27,11 @@ import numpy as np
 from .centrality import (
     TIE_PREFILTER,
     DeltaGrid,
+    dc_difference_float,
     dc_difference_sign,
     decay_matrix,
+    farness_vector,
+    live_levels,
 )
 from .graph import DistanceProfile, Graph, profile_matrix
 
@@ -257,7 +260,8 @@ class MaximizerSets:
 
 
 def _profile_group_ids(profiles: np.ndarray) -> np.ndarray:
-    _, inverse = np.unique(profiles, axis=0, return_inverse=True)
+    live = profiles[:, : live_levels(profiles)]
+    _, inverse = np.unique(live, axis=0, return_inverse=True)
     return inverse.reshape(-1)
 
 
@@ -293,24 +297,87 @@ def exact_argmax_nodes(
     return sorted(int(v) for v in candidates if int(group_ids[v]) in keep)
 
 
+def _float_survivors(rows: np.ndarray, values: np.ndarray, delta: float) -> np.ndarray:
+    """Indices of the profile rows that the certified float comparison
+    cannot rule out as decay maximizers at ``delta``.
+
+    ``values`` are the rows' decay values.  Every other row is compared
+    with the current leader (first the float maximum) through
+    :func:`dc_difference_float`: rows certainly below it are dropped, and a
+    row certainly above it becomes the leader, dropping the old one.  The
+    leader comes first in the result; the rest are the uncertified rows.
+    """
+    alive = np.arange(len(rows))
+    lead = int(np.argmax(values))
+    while True:
+        others = alive[alive != lead]
+        diff, bound = dc_difference_float(rows[others] - rows[lead], delta)
+        above = diff > bound
+        alive = others[diff >= -bound]
+        if not above.any():
+            return np.concatenate(([lead], alive))
+        lead = int(others[np.argmax(np.where(above, diff, -np.inf))])
+
+
 def decay_argmax_sets(
     dc: np.ndarray,
     profiles: np.ndarray,
     grid: DeltaGrid,
     group_ids: np.ndarray | None = None,
 ) -> tuple[frozenset[int], ...]:
-    """Decay argmax set at every grid point.
+    """Decay argmax set at every grid point, decided exactly.
 
-    A float pre-filter (window :data:`TIE_PREFILTER`) collects candidates;
-    whenever more than one distinct profile survives it, the winner set is
-    confirmed in exact rational arithmetic.
+    At each grid point a float window (:data:`TIE_PREFILTER`) collects the
+    candidates.  When they span more than one distinct profile, each
+    profile's difference polynomial to the current leader,
+    ``p(delta) = sum_l d_l delta**l`` with ``d = c_g - c_lead``, is
+    evaluated directly in floats (:func:`_float_survivors`); profiles
+    certainly below the leader drop out, and only those the float value
+    cannot separate from the leader go to the exact rational comparison
+    (:func:`exact_argmax_nodes`), so exact ties stay exact.
+
+    The certificate is a derived forward-error bound.  With unit roundoff
+    ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)``, subnormal spacing
+    ``eta = 2**-1074`` and ``L`` the number of levels up to the last
+    nonzero ``d_l``, floating-point multiplication obeys
+    ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and ``|t| <= eta``
+    (gradual underflow; additions whose result is subnormal are exact, so
+    they add no ``t``):
+
+    1. Powers: ``P_1 = delta`` is exact and ``P_l = fl(P_{l-1} * delta)``,
+       so by induction ``P_l = delta**l * (1 + th_l) + E_l`` with
+       ``|th_l| <= gamma_{l-1}`` and ``|E_l| <= (l-1)*eta`` (``delta < 1``
+       keeps old underflow errors from growing).  This is the error of the
+       powers; no library ``pow`` is involved.
+    2. Sum: the computed ``fl(sum_l d_l P_l)``, in any summation order and
+       with or without fused multiply-adds, is within
+       ``gamma_L * M + L*eta*(1 + gamma_L)`` of ``sum_l d_l P_l``, where
+       ``M = sum_l |d_l| P_l`` (Higham, *Accuracy and Stability of
+       Numerical Algorithms*, 2nd ed., sec. 3.1, with the underflow term of
+       his eq. (2.8)).  The integers ``d_l`` are exact in double.
+    3. Replacing the powers: ``|sum_l d_l (P_l - delta**l)| <=
+       gamma_{L-1}/(1 - gamma_{L-1}) * (M + |d|_1 (L-1) eta) +
+       |d|_1 (L-1) eta``.
+    4. ``M`` itself is computed as ``M^ = fl(sum_l |d_l| P_l)``, so
+       ``M <= (M^ + L*eta*(1 + gamma_L)) / (1 - gamma_L)``.
+
+    For ``gamma_L <= 1/100`` (``L`` below 10**13) the relative terms sum to
+    at most ``2.05 * gamma_L * M^`` and the absolute ones to at most
+    ``2*L*(|d|_1 + 1)*eta``.  :func:`dc_difference_float` uses
+    ``4 * gamma_L * M^ + 2*L*(|d|_1 + 1)*eta``: the spare factor covers the
+    three roundings made while evaluating the bound, and the absolute term
+    is an exact multiple of ``eta``.  The absolute term matters because
+    powers underflow: ``0.01**l`` is 0 for ``l`` past about 161, so on a
+    long path two central nodes whose profiles first differ that deep get a
+    float difference of 0 and a zero relative term.  Such a difference
+    stays uncertified, and the exact comparison decides it.
     """
     if group_ids is None:
         group_ids = _profile_group_ids(profiles)
     fracs = grid.fractions()
     out: list[frozenset[int]] = []
     col_max = dc.max(axis=0)
-    for g in range(dc.shape[1]):
+    for g, delta in enumerate(grid.values):
         col = dc[:, g]
         cand = np.flatnonzero(col >= col_max[g] - TIE_PREFILTER)
         if len(cand) == 1:
@@ -318,9 +385,14 @@ def decay_argmax_sets(
             continue
         cand_groups = group_ids[cand]
         if (cand_groups == cand_groups[0]).all():
-            out.append(frozenset(int(v) for v in cand))
+            out.append(frozenset(cand.tolist()))
             continue
-        winners = exact_argmax_nodes(cand.tolist(), profiles, fracs[g], group_ids)
+        groups, first = np.unique(cand_groups, return_index=True)
+        reps = cand[first]
+        keep = _float_survivors(profiles[reps], col[reps], delta)
+        winners = cand[np.isin(cand_groups, groups[keep])].tolist()
+        if len(keep) > 1:
+            winners = exact_argmax_nodes(winners, profiles, fracs[g], group_ids)
         out.append(frozenset(winners))
     return tuple(out)
 
@@ -337,20 +409,23 @@ def int_argmin_set(values: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(values) if v == best)
 
 
-def maximizer_sets(g: Graph, grid: DeltaGrid) -> MaximizerSets:
+def maximizer_sets(
+    g: Graph, grid: DeltaGrid, profiles: np.ndarray | None = None
+) -> MaximizerSets:
     """Compute all three maximizer families for a connected graph.
 
     Degree and closeness winners come from exact integer comparisons
     (closeness ties are exact farness ties); the per-delta decay winners use
-    the exact-confirmation path of :func:`decay_argmax_sets`.
+    the exact-confirmation path of :func:`decay_argmax_sets`.  ``profiles``
+    is the graph's :func:`profile_matrix`, when the caller has it already.
     """
-    profiles = profile_matrix(g)
+    if profiles is None:
+        profiles = profile_matrix(g)
     if g.n == 1:
         only = frozenset((0,))
         return MaximizerSets(only, only, tuple(only for _ in grid.values))
     degrees = profiles[:, 0].tolist()
-    weights = np.arange(1, profiles.shape[1] + 1, dtype=np.int64)
-    farness = (profiles @ weights).tolist()
+    farness = farness_vector(profiles).tolist()
     dc = decay_matrix(profiles, grid)
     return MaximizerSets(
         by_degree=int_argmax_set(degrees),

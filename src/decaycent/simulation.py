@@ -26,7 +26,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .centrality import TIE_PREFILTER, DeltaGrid, dc_difference_sign, decay_matrix
+from .centrality import (
+    TIE_PREFILTER,
+    DeltaGrid,
+    dc_difference_sign,
+    decay_matrix,
+    farness_vector,
+)
 from .generation import (
     DEFAULT_MAX_REJECTS,
     RejectionLimitError,
@@ -243,8 +249,7 @@ def run_trial(
     """Evaluate one connected graph over the whole grid."""
     profiles = profile_matrix(g)
     degrees = profiles[:, 0].tolist()
-    weights = np.arange(1, profiles.shape[1] + 1, dtype=np.int64)
-    farness = (profiles @ weights).tolist()
+    farness = farness_vector(profiles).tolist()
     deg_set = int_argmax_set(degrees)
     clos_set = int_argmin_set(farness)
     core = deg_set & clos_set

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from decaycent import (
     DeltaGrid,
     TrialSeed,
+    build_graph,
     centrality_table,
     dc_difference_coeffs,
     dc_difference_factored,
@@ -43,6 +44,13 @@ class TestDeltaGrid:
             DeltaGrid((0.0, 0.5))
         with pytest.raises(ValueError):
             DeltaGrid((0.5, 1.0))
+
+    def test_fractions_exact_and_built_once(self):
+        grid = DeltaGrid.uniform(9)
+        fracs = grid.fractions()
+        assert fracs == tuple(Fraction(v) for v in grid.values)
+        assert grid.fractions() is fracs
+        assert grid == DeltaGrid.uniform(9)
 
 
 class TestCentralityTable:
@@ -109,6 +117,19 @@ class TestCentralityTable:
         t = centrality_table(path)
         assert max(abs(v) for v in t.fvecs[0]) > 2**63
         assert t.fvecs[0][0] == sum(range(1, 80))
+
+    def test_fvec_matches_binomial_definition(self):
+        # the definition term by term, against the shift-and-add expansion
+        from math import comb
+
+        g, _ = sample_connected_gnp(14, 0.2, TrialSeed(7, 3))
+        for row in profile_matrix(g).tolist() + [[0, 3, 0, 1, 0, 0]]:
+            expected = tuple(
+                (-1) ** (k - 1)
+                * sum(comb(l, k) * row[l - 1] for l in range(k, len(row) + 1))
+                for k in range(1, len(row) + 1)
+            )
+            assert fvec_from_counts(row) == expected
 
     def test_cvec_zero_convention(self):
         assert cvec_from_fvec((2, 0, -3)) == (0.5, 0.0, pytest.approx(-1 / 3))
@@ -179,6 +200,17 @@ class TestDecayCurve:
             curve = decay_curve(t.profiles[node], grid)
             for k, delta in enumerate(grid.values):
                 assert curve[k] == decay_centrality(t.profiles[node], delta)
+
+    def test_decay_matrix_bitwise_equals_scalar_horner(self):
+        grid = DeltaGrid.uniform(99)
+        for g in (
+            sample_connected_gnp(30, 0.15, TrialSeed(14, 2))[0],
+            build_graph(60, [(i, i + 1) for i in range(59)]),
+        ):
+            mat = profile_matrix(g)
+            dc = decay_matrix(mat, grid)
+            for node in range(g.n):
+                assert dc[node].tolist() == decay_curve(mat[node].tolist(), grid).tolist()
 
     def test_decay_matrix_agrees_with_curve(self):
         g, _ = sample_connected_gnp(12, 0.35, TrialSeed(14, 1))

@@ -1,0 +1,115 @@
+"""Pinned sha256 digests of the result files.
+
+Refactors of the evaluation path must leave these bytes unchanged.  A
+deliberate change of output (for example a new random-stream layout) re-pins
+the digests here and says why in ``CHANGES.md``.
+
+Report digests drop the ``version`` field (it carries the git description);
+the graph files are written into the test's working directory and named by
+a relative path, so the config echo is the same on every machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from decaycent import build_graph
+from decaycent.cli import main
+from decaycent.io import write_edgelist
+
+from conftest import CROSSING_EDGES, CROSSING_PAIR
+
+SIMULATE = {
+    # sparse: below the connectivity threshold ln(n)/n, so rejections show
+    "sparse": ["--n", "24", "--p", "0.15", "--trials", "6", "--seed", "11"],
+    # tie-heavy: K_n, every node in one profile group
+    "ties": ["--n", "10", "--p", "1", "--trials", "3", "--seed", "2"],
+}
+
+PINNED_SIMULATE = {
+    "sparse": {
+        "records.csv": "32609bcdf6b74dceb8311b9c24198889e57e1f2b372fa6e311e05730d999a955",
+        "aggregate.csv": "c26562e5f648c2a18b45d7ff772e2705d4ac33f85de9134e7f137ffc3f9fe519",
+    },
+    "ties": {
+        "records.csv": "7e4922ca207d3f732efc337d31795bca403bfcca03d0e8ad8f2dc87abd9baac8",
+        "aggregate.csv": "9641510e2c19bbc57346040ba703885b44efb18a748ca6ddb1e843f6aff3d496",
+    },
+}
+
+GRAPHS = {
+    "p40": (40, [(i, i + 1) for i in range(39)]),
+    "crossing": (8, CROSSING_EDGES),
+}
+
+PINNED_COMPUTE = {
+    "p40": {
+        "csv": "751dafde4d66df15b6b0f173f58982632a3097fc036692110cfd5fb9851b4cfc",
+        "json": "bc0d1d6c43c3e1d2d006f5441f0ddce2fe13cb3ae3f044788276a3d6e90b1467",
+        "json_full": "54ee3b8c05f0956db1a261f50374bec4dc8855f3860e96578228311902e74764",
+    },
+    "crossing": {
+        "csv": "5df3d7252cc25c9309e89aeb003cea4625fdde9c01d032c9800971d193e79937",
+        "json": "117fb73b69b3277fd3d5bb6499a73bc2fcc6e701c82f00ae6f643e0b3f640d6c",
+        "json_full": "77963bd2e6b4758feb5e2a833771dcdcadac1d4e13d973fa444e3b0460d7b83a",
+    },
+}
+
+COMPARE_PAIRS = {"p40": (0, 20), "crossing": CROSSING_PAIR}
+
+PINNED_COMPARE = {
+    "p40": "4ca1aac48981dd3cce865aed0ceea978954d86076fc17d4e68187d98f282c328",
+    "crossing": "9dd912eabeb8eca347b8e9ced7ce073bd813c4ac99bc2c377b1c79003b6a76b8",
+}
+
+
+def sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def report_digest(path) -> str:
+    """Digest of a JSON report without its ``version`` field."""
+    report = json.loads(path.read_text())
+    del report["version"]
+    return sha256_bytes(json.dumps(report, indent=2, sort_keys=True).encode())
+
+
+@pytest.fixture
+def graph_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, (n, edges) in GRAPHS.items():
+        write_edgelist(build_graph(n, edges), f"{name}.txt")
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE))
+def test_simulate_digests(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(["simulate", *SIMULATE[name], "--out-dir", str(out)]) == 0
+    got = {f: sha256_bytes((out / f).read_bytes()) for f in PINNED_SIMULATE[name]}
+    assert got == PINNED_SIMULATE[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_compute_digests(name, graph_files):
+    graph = f"{name}.txt"
+    assert main(["compute", "--graph", graph, "--out", "t.csv", "--json", "r.json"]) == 0
+    assert main(["compute", "--graph", graph, "--out", "t.csv", "--json", "full.json",
+                 "--full"]) == 0
+    got = {
+        "csv": sha256_bytes((graph_files / "t.csv").read_bytes()),
+        "json": report_digest(graph_files / "r.json"),
+        "json_full": report_digest(graph_files / "full.json"),
+    }
+    assert got == PINNED_COMPUTE[name]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_compare_digests(name, graph_files):
+    i, j = COMPARE_PAIRS[name]
+    assert main(["compare", "--graph", f"{name}.txt", "-i", str(i), "-j", str(j),
+                 "--out", "c.json"]) == 0
+    assert report_digest(graph_files / "c.json") == PINNED_COMPARE[name]

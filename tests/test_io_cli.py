@@ -121,6 +121,8 @@ class TestComputeCommand:
         path = tmp_path / "disc.txt"
         path.write_text("4 2\n0 1\n2 3\n")
         assert main(["compute", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "disconnected" in err
 
     def test_stdout_default(self, p3_file, capsys):
         assert main(["compute", "--graph", str(p3_file), "--grid-points", "2"]) == 0
@@ -154,6 +156,13 @@ class TestCompareCommand:
     def test_unknown_node_is_data_error(self, p3_file, capsys):
         assert main(["compare", "--graph", str(p3_file), "-i", "0", "-j", "9"]) == 2
         assert "unknown node" in capsys.readouterr().err
+
+    def test_disconnected_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "disc.txt"
+        path.write_text("4 2\n0 1\n2 3\n")
+        assert main(["compare", "--graph", str(path), "-i", "0", "-j", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "disconnected" in err
 
 
 class TestSimulateCommand:

@@ -1,5 +1,8 @@
 """Comparators, sufficient-condition checkers, and maximizer sets."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from decaycent import (
     DeltaGrid,
     Relation,
     TrialSeed,
+    build_graph,
     centrality_table,
     check_farness_dominance,
     check_high_delta_conditions,
@@ -19,8 +23,11 @@ from decaycent import (
     sample_connected_gnp,
     ud_compare,
 )
-from decaycent.centrality import fvec_from_counts
+from decaycent import ordering
+from decaycent.centrality import dc_difference_float, decay_matrix, fvec_from_counts
 from decaycent.graph import profile_matrix
+from decaycent.ordering import decay_argmax_sets
+from decaycent.verification import sample_graphs
 
 from conftest import CROSSING_PAIR, oracle_decay
 
@@ -295,11 +302,6 @@ class TestMaximizerSets:
     def test_exact_tie_between_distinct_profiles(self):
         # two nodes whose difference polynomial vanishes exactly at 0.5:
         # profiles (2,0,2) and (1,3,0) give delta(1-delta)(1-2delta)
-        import numpy as np
-
-        from decaycent.centrality import decay_matrix
-        from decaycent.ordering import decay_argmax_sets
-
         profiles = np.array([[2, 0, 2, 0], [1, 3, 0, 0]], dtype=np.int64)
         grid = DeltaGrid((0.25, 0.5, 0.75))
         dc = decay_matrix(profiles, grid)
@@ -307,3 +309,123 @@ class TestMaximizerSets:
         assert sets[0] == frozenset({0})
         assert sets[1] == frozenset({0, 1})  # exact tie at one half
         assert sets[2] == frozenset({1})
+
+
+def exact_decay_argmax(profiles, delta: float) -> frozenset[int]:
+    """Brute-force argmax: every node's decay value as an exact fraction
+    ``delta = p / q``, scaled by the common denominator ``q**L``."""
+    frac = Fraction(delta)
+    p, q = frac.numerator, frac.denominator
+    rows = [[int(c) for c in row] for row in profiles]
+    levels = len(rows[0])
+    weights = [p**l * q ** (levels - l) for l in range(1, levels + 1)]
+    scaled = [sum(c * w for c, w in zip(row, weights) if c) for row in rows]
+    best = max(scaled)
+    return frozenset(i for i, v in enumerate(scaled) if v == best)
+
+
+def path_graph(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+class TestCertifiedFilter:
+    """The float pre-filter ahead of the exact argmax never changes a set."""
+
+    def assert_matches_brute_force(self, g, grid):
+        profiles = profile_matrix(g)
+        sets = decay_argmax_sets(decay_matrix(profiles, grid), profiles, grid)
+        for delta, got in zip(grid.values, sets):
+            assert got == exact_decay_argmax(profiles, delta), delta
+
+    def test_path_200_including_underflow(self):
+        # 0.01**l underflows to zero past l ~ 161: the float differences of
+        # far-apart levels vanish and the bound's absolute term takes over
+        self.assert_matches_brute_force(path_graph(200), DeltaGrid((0.01, 0.5, 0.99)))
+
+    def test_complete_graph(self):
+        g = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
+        self.assert_matches_brute_force(g, DeltaGrid.uniform(99))
+
+    def test_star_ties(self, star4):
+        self.assert_matches_brute_force(star4, DeltaGrid.uniform(99))
+
+    def test_crossing_graph(self, crossing_graph):
+        self.assert_matches_brute_force(crossing_graph, DeltaGrid.uniform(99))
+
+    def test_exact_tie_survives_the_filter(self):
+        # (2,0,2) and (1,3,0) tie exactly at 1/2; the float difference there
+        # is within its bound of zero, so the exact comparison decides
+        rows = np.array([[1, 3, 0], [2, 0, 2]], dtype=np.int64)
+        value, bound = dc_difference_float(rows[1:] - rows[:1], 0.5)
+        assert abs(value[0]) <= bound[0]
+        grid = DeltaGrid((0.5,))
+        sets = decay_argmax_sets(decay_matrix(rows, grid), rows, grid)
+        assert sets == (frozenset({0, 1}),)
+
+    def test_uncertified_float_lead_is_not_trusted(self):
+        # at delta = 0.1 the float difference row 1 - row 0 is +7e-14 but
+        # the exact one is -3e-13: both rows must reach the exact comparison
+        rows = np.array([[11190, 0, 6740160], [0, 785916, 0]], dtype=np.int64)
+        keep = ordering._float_survivors(rows, np.array([1.0, 0.0]), 0.1)
+        assert sorted(keep.tolist()) == [0, 1]
+        grid = DeltaGrid((0.1,))
+        sets = decay_argmax_sets(decay_matrix(rows, grid), rows, grid)
+        assert sets == (exact_decay_argmax(rows, 0.1),) == (frozenset({0}),)
+
+    def test_path_needs_no_exact_comparison(self, monkeypatch):
+        # every near-tie on P_200 is separated by the certified floats
+        calls = []
+        original = ordering.dc_difference_sign
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ordering, "dc_difference_sign", counted)
+        ms = maximizer_sets(path_graph(200), DeltaGrid.uniform(99))
+        assert all(s == frozenset({99, 100}) for s in ms.by_decay)
+        assert calls == []
+
+
+def exact_difference(diff, delta: float) -> Fraction:
+    frac = Fraction(delta)
+    return sum(int(d) * frac**l for l, d in enumerate(diff, start=1) if d)
+
+
+class TestDifferenceBound:
+    """|float difference - exact difference| <= the stated bound."""
+
+    def assert_within_bound(self, profiles, pairs, deltas):
+        for delta in deltas:
+            diffs = np.array([profiles[i] - profiles[j] for i, j in pairs])
+            values, bounds = dc_difference_float(diffs, delta)
+            for diff, value, bound in zip(diffs, values, bounds):
+                error = abs(Fraction(float(value)) - exact_difference(diff, delta))
+                assert error <= Fraction(float(bound)), (diff.tolist(), delta)
+
+    def test_all_pairs_of_sampled_graphs(self):
+        deltas = (0.01, 0.1, 0.25, 0.5, 0.73, 0.9, 0.99)
+        for g in sample_graphs(24, n_max=10, seed=3):
+            profiles = profile_matrix(g)
+            pairs = [(i, j) for i in range(g.n) for j in range(g.n) if i != j]
+            self.assert_within_bound(profiles, pairs, deltas)
+
+    def test_path_pairs(self):
+        profiles = profile_matrix(path_graph(200))
+        pairs = [(k, 99) for k in range(0, 200, 7)] + [(0, 199), (3, 150)]
+        self.assert_within_bound(profiles, pairs, (0.01, 0.5, 0.99))
+
+    def test_underflow_regime(self):
+        # near the center of P_400 the differences start at level ~171, and
+        # 0.01**171 is below the smallest subnormal: the float value is 0
+        # and only the bound's absolute term covers the exact one
+        profiles = profile_matrix(path_graph(400))
+        self.assert_within_bound(profiles, [(170, 199), (185, 200)], (0.01,))
+        values, bounds = dc_difference_float(profiles[[170]] - profiles[[199]], 0.01)
+        assert values[0] == 0.0 < bounds[0]
+        self.assert_within_bound(np.array([[0, 0, 1], [0, 0, 0]]), [(0, 1)], (1e-150,))
+
+    def test_bound_is_tight_enough_to_certify(self):
+        # a difference of 1e-300 is still certified positive
+        value, bound = dc_difference_float(np.array([[0, 1, -1]]), 1e-150)
+        assert value[0] > bound[0] > 0
