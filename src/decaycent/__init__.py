@@ -31,7 +31,6 @@ from .graph import (
     all_profiles,
     build_graph,
     distance_profile,
-    is_connected,
     profile_matrix,
 )
 from .meta import VERSION as __version__
@@ -54,8 +53,6 @@ from .simulation import (
     SimulationConfig,
     TrialRecord,
     aggregate,
-    rank_of,
-    rule_of_thumb_pick,
     run_experiment,
     run_trial,
     run_trials,
@@ -93,13 +90,10 @@ __all__ = [
     "decay_curve",
     "decay_matrix",
     "distance_profile",
-    "is_connected",
     "lex_compare",
     "lex_compare_cvec",
     "maximizer_sets",
     "profile_matrix",
-    "rank_of",
-    "rule_of_thumb_pick",
     "run_experiment",
     "run_trial",
     "run_trials",

@@ -26,10 +26,6 @@ import numpy as np
 
 from .graph import DistanceProfile, Graph, profile_matrix
 
-#: Float window inside which two decay values are handed to the exact
-#: rational comparison instead of being trusted as distinct.
-TIE_PREFILTER = 1e-9
-
 #: Unit roundoff of IEEE double precision.
 UNIT_ROUNDOFF = 2.0**-53
 #: Spacing of the subnormal doubles: the largest absolute error of one
@@ -130,6 +126,44 @@ def decay_matrix(profiles: np.ndarray, grid: DeltaGrid) -> np.ndarray:
         acc *= deltas
         acc += counts[:, level, None]
     return acc * deltas
+
+
+def decay_error_bound(dc: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """Bound on the absolute error of every entry of
+    ``dc = decay_matrix(profiles, grid)``: the exact decay value lies in
+    ``[dc - err, dc + err]``.
+
+    ``err = 2*gamma_{2L+1}*dc + 2*(L+1)*eta``, with ``L`` the live levels,
+    unit roundoff ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)`` and
+    subnormal spacing ``eta = 2**-1074``.  Floating-point multiplication
+    obeys ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and
+    ``|t| <= eta`` (gradual underflow), addition ``fl(x+y) = (x+y)*(1 + e)``,
+    and the counts are exact in double.
+
+    1. Without underflow, Horner's scheme (``L`` multiply-and-add steps,
+       the first on a zero accumulator, then the final ``* delta``) returns
+       ``sum_l c_l delta**l (1 + th_l)`` with ``|th_l| <= gamma_{2L-1}``
+       (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+       sec. 5.1).  Counts and ``delta`` are nonnegative, so
+       ``sum_l |c_l| delta**l`` is the exact value ``v`` itself and
+       ``|dc - v| <= gamma_{2L-1} * v``.
+    2. Each of the ``L`` multiplications that can underflow adds one ``t``,
+       which the later steps scale by at most ``1 + gamma_{2L}``
+       (``delta < 1``): at most ``L*eta*(1 + gamma_{2L})`` in all.
+    3. ``v <= (dc + L*eta*(1 + gamma_{2L})) / (1 - gamma_{2L-1})``; for
+       ``gamma_{2L+1} <= 1/100`` the error is therefore at most
+       ``1.02*gamma_{2L-1}*dc + 1.03*L*eta``.
+
+    The spare room (at least ``0.98*gamma_{2L+1}*dc >= 2.9*u*dc`` and
+    ``L*eta``) covers the roundings made while computing ``err`` and while
+    forming ``dc + err`` or ``dc - err``, so the computed intervals still
+    hold the exact values.  The absolute term matters for rows with
+    leading zero counts, whose powers of a small ``delta`` underflow.
+    """
+    levels = live_levels(profiles)
+    ku = (2 * levels + 1) * UNIT_ROUNDOFF
+    gamma = ku / (1.0 - ku)
+    return 2.0 * gamma * dc + 2 * (levels + 1) * SUBNORMAL_SPACING
 
 
 def farness_vector(profiles: np.ndarray) -> np.ndarray:

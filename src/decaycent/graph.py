@@ -98,24 +98,6 @@ def _finish_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph(n=n, edges=tuple(pairs), adjacency=adjacency)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff every pair of nodes is joined by a path (single node: True)."""
-    if g.n <= 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        x = queue.popleft()
-        for y in g.adjacency[x]:
-            if not seen[y]:
-                seen[y] = 1
-                count += 1
-                queue.append(y)
-    return count == g.n
-
-
 def distance_profile(g: Graph, node: int) -> DistanceProfile:
     """BFS-exact distance counts from ``node``.
 

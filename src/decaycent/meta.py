@@ -35,7 +35,9 @@ def conventions() -> dict[str, str]:
         ),
         "ties": (
             "decay values are tied only when exact rational evaluation says so; "
-            "a 1e-9 float window merely pre-filters candidates for the exact check"
+            "floats only pre-filter: each float value carries a derived forward-"
+            "error bound of Horner's scheme, and values whose bounded intervals "
+            "overlap go to the exact check"
         ),
         "percentile": "nearest-rank on the sorted per-trial sample",
         "grid": "uniform interior points i/(points+1), never 0 or 1",

@@ -20,15 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .centrality import (
-    TIE_PREFILTER,
     DeltaGrid,
     dc_difference_float,
     dc_difference_sign,
+    decay_error_bound,
     decay_matrix,
     farness_vector,
     live_levels,
@@ -166,6 +167,13 @@ class SufficiencyResult:
         return self.applicable and bool(self.satisfied)
 
 
+def _max_abs_prefix(diffs: Sequence[int]) -> int:
+    """``max_k |d_1 + ... + d_k|`` over ``k = 2 .. len(diffs) - 1``; 0 when
+    that range is empty."""
+    sums = list(accumulate(diffs[:-1]))
+    return max((abs(x) for x in sums[1:]), default=0)
+
+
 def check_low_delta_conditions(
     pi: DistanceProfile | Sequence[int], pj: DistanceProfile | Sequence[int]
 ) -> SufficiencyResult:
@@ -204,13 +212,7 @@ def check_low_delta_conditions(
     tail_max = max((abs(d) for d in diffs[1:]), default=0)
     if a1 >= tail_max:
         satisfied.add(3)
-    prefix_max = 0
-    acc = 0
-    for k in range(1, n - 1):
-        acc += diffs[k - 1]
-        if k >= 2:
-            prefix_max = max(prefix_max, abs(acc))
-    if a1 >= prefix_max:
+    if a1 >= _max_abs_prefix(diffs):
         satisfied.add(4)
     return SufficiencyResult(applicable=True, satisfied=frozenset(satisfied), rule=rule)
 
@@ -233,18 +235,11 @@ def check_high_delta_conditions(
     b1 = diffs[0]
     if b1 >= 0:
         return SufficiencyResult(applicable=False, satisfied=frozenset(), rule=rule)
-    n = len(fvec_i) + 1
     satisfied: set[int] = set()
     tail_max = max((abs(d) for d in diffs[1:]), default=0)
     if -b1 >= tail_max:
         satisfied.add(1)
-    prefix_max = 0
-    acc = 0
-    for k in range(1, n - 1):
-        acc += diffs[k - 1]
-        if k >= 2:
-            prefix_max = max(prefix_max, abs(acc))
-    if -b1 >= prefix_max:
+    if -b1 >= _max_abs_prefix(diffs):
         satisfied.add(2)
     return SufficiencyResult(applicable=True, satisfied=frozenset(satisfied), rule=rule)
 
@@ -327,19 +322,23 @@ def decay_argmax_sets(
 ) -> tuple[frozenset[int], ...]:
     """Decay argmax set at every grid point, decided exactly.
 
-    At each grid point a float window (:data:`TIE_PREFILTER`) collects the
-    candidates.  When they span more than one distinct profile, each
-    profile's difference polynomial to the current leader,
+    ``dc`` is ``decay_matrix(profiles, grid)``.  At each grid point the
+    candidates are the nodes whose value interval ``dc +- err``
+    (:func:`decay_error_bound`) reaches the largest lower end
+    ``max(dc - err)``; no exact maximizer lies outside.  When the
+    candidates span more than one distinct profile, each profile's
+    difference polynomial to the current leader,
     ``p(delta) = sum_l d_l delta**l`` with ``d = c_g - c_lead``, is
     evaluated directly in floats (:func:`_float_survivors`); profiles
     certainly below the leader drop out, and only those the float value
     cannot separate from the leader go to the exact rational comparison
     (:func:`exact_argmax_nodes`), so exact ties stay exact.
 
-    The certificate is a derived forward-error bound.  With unit roundoff
-    ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)``, subnormal spacing
-    ``eta = 2**-1074`` and ``L`` the number of levels up to the last
-    nonzero ``d_l``, floating-point multiplication obeys
+    The difference certificate is a derived forward-error bound, like the
+    window.  With unit roundoff ``u = 2**-53``,
+    ``gamma_k = k*u / (1 - k*u)``, subnormal spacing ``eta = 2**-1074``
+    and ``L`` the number of levels up to the last nonzero ``d_l``,
+    floating-point multiplication obeys
     ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and ``|t| <= eta``
     (gradual underflow; additions whose result is subnormal are exact, so
     they add no ``t``):
@@ -376,13 +375,16 @@ def decay_argmax_sets(
         group_ids = _profile_group_ids(profiles)
     fracs = grid.fractions()
     out: list[frozenset[int]] = []
-    col_max = dc.max(axis=0)
+    err = decay_error_bound(dc, profiles)
+    reach = dc + err >= (dc - err).max(axis=0)
+    single = (reach.sum(axis=0) == 1).tolist()
+    first_reach = reach.argmax(axis=0).tolist()
     for g, delta in enumerate(grid.values):
-        col = dc[:, g]
-        cand = np.flatnonzero(col >= col_max[g] - TIE_PREFILTER)
-        if len(cand) == 1:
-            out.append(frozenset((int(cand[0]),)))
+        if single[g]:
+            out.append(frozenset((first_reach[g],)))
             continue
+        col = dc[:, g]
+        cand = np.flatnonzero(reach[:, g])
         cand_groups = group_ids[cand]
         if (cand_groups == cand_groups[0]).all():
             out.append(frozenset(cand.tolist()))

@@ -22,14 +22,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .centrality import (
-    TIE_PREFILTER,
     DeltaGrid,
     dc_difference_sign,
+    decay_error_bound,
     decay_matrix,
     farness_vector,
 )
@@ -44,7 +44,6 @@ from .meta import conventions, version_string
 from .ordering import (
     _profile_group_ids,
     decay_argmax_sets,
-    exact_argmax_nodes,
     int_argmax_set,
     int_argmin_set,
 )
@@ -96,124 +95,40 @@ class TrialRecord:
         return self.intersects and not all(self.subset_core)
 
 
-def _strict_greater_count(
-    col: np.ndarray,
-    v: int,
-    profiles: np.ndarray,
-    gid: np.ndarray,
-    frac: Fraction,
-) -> int:
-    """Number of nodes with strictly greater decay value than ``v`` at one
-    grid point, with borderline floats resolved exactly."""
-    base = int((col > col[v] + TIE_PREFILTER).sum())
-    near = np.flatnonzero(np.abs(col - col[v]) <= TIE_PREFILTER)
-    for u in near.tolist():
-        if u == v or gid[u] == gid[v]:
-            continue
-        if dc_difference_sign(profiles[u], profiles[v], frac) > 0:
-            base += 1
-    return base
-
-
-def _rank_matrix(
+def decay_ranks(
     dc: np.ndarray,
-    members: Sequence[int],
     profiles: np.ndarray,
-    gid: np.ndarray,
+    group_ids: np.ndarray,
     fracs: Sequence[Fraction],
-) -> np.ndarray:
-    """Competition ranks of the given nodes at every grid point, shape
-    ``(len(members), len(grid))``.
-
-    Clearly-greater nodes are counted in one vectorized comparison; float
-    near-ties across *different* profiles (same-profile nodes are exact ties
-    by construction) go through the exact rational sign.
-    """
-    sub = dc[list(members)]  # (m, G)
-    greater = (dc[:, None, :] > sub[None, :, :] + TIE_PREFILTER).sum(axis=0)
-    near = np.abs(dc[:, None, :] - sub[None, :, :]) <= TIE_PREFILTER
-    same_group = gid[:, None] == gid[list(members)][None, :]
-    near &= ~same_group[:, :, None]
-    for u, mi, g in zip(*np.nonzero(near)):
-        v = members[mi]
-        if dc_difference_sign(profiles[u], profiles[v], fracs[g]) > 0:
-            greater[mi, g] += 1
-    return greater + 1
-
-
-def _exact_best_members(
-    col: np.ndarray,
     members: Sequence[int],
-    profiles: np.ndarray,
-    gid: np.ndarray,
-    frac: Fraction,
-) -> list[int]:
-    """Members of a node set attaining its exact decay maximum, sorted."""
-    best_float = max(col[v] for v in members)
-    cand = [v for v in members if col[v] >= best_float - TIE_PREFILTER]
-    if len(cand) == 1:
-        return cand
-    return exact_argmax_nodes(cand, profiles, frac, gid)
+) -> np.ndarray:
+    """Competition ranks ``1 + #{u : DC_u > DC_v}`` of the member nodes at
+    every grid point, shape ``(len(members), len(grid))``.
 
-
-def rank_of(
-    node_set: Iterable[int],
-    dc_values: Sequence[float],
-    *,
-    profiles: np.ndarray | None = None,
-    delta: float | Fraction | None = None,
-) -> int:
-    """Best competition rank among the set's members.
-
-    ``rank(v) = 1 + #{u : DC_u > DC_v}`` and the set's rank is the minimum
-    over members, i.e. the rank of its decay-best member.  When ``profiles``
-    and ``delta`` are given, near-ties are resolved exactly; otherwise plain
-    float comparison is used.
+    ``dc`` is ``decay_matrix(profiles, grid)`` and ``group_ids`` numbers
+    the distinct profiles ``0 .. K-1``.  Works on profile groups (nodes
+    with one profile tie exactly), one member group at a time, so memory
+    stays at ``O(K * grid)``.  A group counts as greater when its value
+    interval ``dc +- err`` (:func:`decay_error_bound`) lies wholly above
+    the member group's; groups whose intervals overlap it are decided by
+    the exact rational sign.
     """
-    members = sorted(int(v) for v in node_set)
-    if not members:
-        raise ValueError("rank of an empty node set is undefined")
-    col = np.asarray(dc_values, dtype=np.float64)
-    if profiles is None or delta is None:
-        best = max(members, key=lambda v: col[v])
-        return 1 + int((col > col[best]).sum())
-    frac = delta if isinstance(delta, Fraction) else Fraction(delta)
-    gid = _profile_group_ids(profiles)
-    v = _exact_best_members(col, members, profiles, gid, frac)[0]
-    return 1 + _strict_greater_count(col, v, profiles, gid, frac)
-
-
-def rule_of_thumb_pick(
-    deg_set: Iterable[int],
-    clos_set: Iterable[int],
-    dc_values: Sequence[float],
-    delta: float,
-    *,
-    profiles: np.ndarray | None = None,
-) -> int:
-    """Pick a node by the 0.5-threshold rule.
-
-    Candidates come from the max-degree set below 0.5, the max-closeness set
-    above 0.5, and their union exactly at 0.5; the pick is the candidate
-    with maximum decay centrality, exact ties broken toward the lowest id.
-    """
-    deg = frozenset(int(v) for v in deg_set)
-    clos = frozenset(int(v) for v in clos_set)
-    if not deg or not clos:
-        raise ValueError("candidate sets must be nonempty")
-    if delta < 0.5:
-        candidates = deg
-    elif delta > 0.5:
-        candidates = clos
-    else:
-        candidates = deg | clos
-    col = np.asarray(dc_values, dtype=np.float64)
-    members = sorted(candidates)
-    if profiles is None:
-        return max(members, key=lambda v: (col[v], -v))
-    frac = Fraction(delta)
-    gid = _profile_group_ids(profiles)
-    return _exact_best_members(col, members, profiles, gid, frac)[0]
+    sizes = np.bincount(group_ids)
+    rep = np.empty(len(sizes), dtype=np.intp)
+    rep[group_ids] = np.arange(len(group_ids))  # any member: rows are equal
+    err = decay_error_bound(dc[rep], profiles)
+    lo, hi = dc[rep] - err, dc[rep] + err
+    mine, back = np.unique(group_ids[np.asarray(members)], return_inverse=True)
+    ranks = np.empty((len(mine), dc.shape[1]), dtype=np.int64)
+    for r, h in enumerate(mine.tolist()):
+        above = lo > hi[h]
+        near = ~above & (hi >= lo[h])
+        near[h] = False
+        ranks[r] = 1 + sizes @ above
+        for k, g in zip(*np.nonzero(near)):
+            if dc_difference_sign(profiles[rep[k]], profiles[rep[h]], fracs[g]) > 0:
+                ranks[r, g] += sizes[k]
+    return ranks[back.reshape(-1)]
 
 
 def _detect_threshold(
@@ -259,47 +174,33 @@ def run_trial(
     dc = decay_matrix(profiles, grid)
     gid = _profile_group_ids(profiles)
     dc_sets = decay_argmax_sets(dc, profiles, grid, gid)
-    fracs = grid.fractions()
 
-    npts = len(grid)
-    subset_deg = [False] * npts
-    subset_clos = [False] * npts
-    subset_core = [False] * npts
-    disjoint = [False] * npts
-    rank_rule = [0] * npts
-    rule_pick = [0] * npts
+    subset_deg = [s <= deg_set for s in dc_sets]
+    subset_clos = [s <= clos_set for s in dc_sets]
+    subset_core = [intersects and s <= core for s in dc_sets]
+    disjoint = [not (s & union) for s in dc_sets]
 
-    union_members = sorted(union)
-    ranks = _rank_matrix(dc, union_members, profiles, gid, fracs)
-    pos = {v: k for k, v in enumerate(union_members)}
-    deg_rows = ranks[[pos[v] for v in sorted(deg_set)]]
-    clos_rows = ranks[[pos[v] for v in sorted(clos_set)]]
+    members = np.array(sorted(union))
+    ranks = decay_ranks(dc, profiles, gid, grid.fractions(), members)
+    in_deg = np.isin(members, sorted(deg_set))
+    in_clos = np.isin(members, sorted(clos_set))
+    deg_rows = ranks[in_deg]
+    clos_rows = ranks[in_clos]
     rank_deg_best = deg_rows.min(axis=0).tolist()
     rank_clos_best = clos_rows.min(axis=0).tolist()
     rank_deg_avg = deg_rows.mean(axis=0).tolist()
     rank_clos_avg = clos_rows.mean(axis=0).tolist()
 
-    deg_members = sorted(deg_set)
-    clos_members = sorted(clos_set)
-    for gi, delta in enumerate(grid.values):
-        dset = dc_sets[gi]
-        subset_deg[gi] = dset <= deg_set
-        subset_clos[gi] = dset <= clos_set
-        subset_core[gi] = bool(core) and dset <= core
-        disjoint[gi] = not (dset & union)
-
-        if delta < 0.5:
-            candidates = deg_members
-        elif delta > 0.5:
-            candidates = clos_members
-        else:
-            candidates = union_members
-        # two candidates share a rank only when their decay values are
-        # exactly equal, so min-rank plus lowest id is the exact-tie pick
-        best_rank = min(ranks[pos[v], gi] for v in candidates)
-        pick = next(v for v in candidates if ranks[pos[v], gi] == best_rank)
-        rule_pick[gi] = pick
-        rank_rule[gi] = int(best_rank)
+    # rule of thumb: the max-degree set below 1/2, the max-closeness set
+    # above, their union at 1/2.  Candidates share a rank only when their
+    # decay values tie exactly, and argmin takes the first (lowest id) row.
+    deltas = np.asarray(grid.values)
+    candidate = (
+        in_deg[:, None] & (deltas <= 0.5) | in_clos[:, None] & (deltas >= 0.5)
+    )
+    candidate_ranks = np.where(candidate, ranks, g.n + 1)
+    rule_pick = members[candidate_ranks.argmin(axis=0)].tolist()
+    rank_rule = candidate_ranks.min(axis=0).tolist()
 
     threshold_index, transition_clean = _detect_threshold(
         subset_deg, subset_clos, intersects
@@ -486,13 +387,14 @@ def iter_trials(config: SimulationConfig) -> Iterator[tuple[int, TrialRecord | N
     ``None`` marks a trial whose generation exhausted the rejection budget.
     Worker count affects scheduling only, never content or order.
     """
-    if config.workers == 1:
+    workers = min(config.workers, config.trials)
+    if workers == 1:
         for ti in range(config.trials):
             yield _run_single(config, ti)
         return
-    chunk = max(1, min(64, config.trials // (config.workers * 4) or 1))
+    chunk = max(1, min(64, config.trials // (workers * 4) or 1))
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=config.workers) as pool:
+    with ctx.Pool(processes=workers) as pool:
         yield from pool.imap(
             partial(_run_single, config), range(config.trials), chunksize=chunk
         )

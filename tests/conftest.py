@@ -1,7 +1,8 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles here (Floyd-Warshall distances, naive per-pair decay sums)
-deliberately do not reuse the library's BFS or Horner code paths.
+The oracles (Floyd-Warshall distances, naive per-pair decay sums) are the
+ones in :mod:`decaycent.verification`; they deliberately do not reuse the
+library's BFS or Horner code paths.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import pytest
 
 from decaycent import Graph, build_graph
+from decaycent.verification import floyd_warshall as oracle_distances
+from decaycent.verification import naive_decay
 
 
 @pytest.fixture
@@ -38,28 +41,9 @@ def crossing_graph() -> Graph:
     return build_graph(8, CROSSING_EDGES)
 
 
-def oracle_distances(g: Graph) -> list[list[float]]:
-    """Floyd-Warshall all-pairs distances, written from the definition."""
-    inf = float("inf")
-    dist = [[inf] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        dist[i][i] = 0.0
-    for u, v in g.edges:
-        dist[u][v] = 1.0
-        dist[v][u] = 1.0
-    for k in range(g.n):
-        for i in range(g.n):
-            for j in range(g.n):
-                alt = dist[i][k] + dist[k][j]
-                if alt < dist[i][j]:
-                    dist[i][j] = alt
-    return dist
-
-
 def oracle_decay(g: Graph, node: int, delta: float) -> float:
     """Naive per-pair decay sum from oracle distances."""
-    dist = oracle_distances(g)
-    return sum(delta ** dist[node][j] for j in range(g.n) if j != node)
+    return naive_decay(oracle_distances(g)[node], node, delta)
 
 
 def oracle_profile(g: Graph, node: int) -> tuple[int, ...]:

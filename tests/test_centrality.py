@@ -21,8 +21,9 @@ from decaycent import (
     decay_matrix,
     sample_connected_gnp,
 )
-from decaycent.centrality import cvec_from_fvec, fvec_from_counts
+from decaycent.centrality import cvec_from_fvec, decay_error_bound, fvec_from_counts
 from decaycent.graph import profile_matrix
+from decaycent.verification import sample_graphs
 
 from conftest import oracle_decay
 
@@ -221,6 +222,57 @@ class TestDecayCurve:
             assert dc[node] == pytest.approx(
                 decay_curve(tuple(int(c) for c in mat[node]), grid), rel=1e-12
             )
+
+
+class TestDecayErrorBound:
+    """|decay_matrix - exact value| <= decay_error_bound, entry by entry."""
+
+    @staticmethod
+    def exact_decay(row, delta: float) -> Fraction:
+        frac = Fraction(delta)
+        p, q = frac.numerator, frac.denominator
+        levels = len(row)
+        num = sum(int(c) * p**l * q ** (levels - l) for l, c in enumerate(row, 1) if c)
+        return Fraction(num, q**levels)
+
+    def assert_within_bound(self, profiles, deltas, nodes=None):
+        grid = DeltaGrid(tuple(deltas))
+        dc = decay_matrix(profiles, grid)
+        err = decay_error_bound(dc, profiles)
+        for node in range(len(profiles)) if nodes is None else nodes:
+            row = profiles[node]
+            for delta, value, bound in zip(grid.values, dc[node], err[node]):
+                error = abs(Fraction(float(value)) - self.exact_decay(row, delta))
+                assert error <= Fraction(float(bound)), (row.tolist(), delta)
+
+    def test_sampled_graphs(self):
+        deltas = (0.01, 0.1, 0.25, 0.5, 0.73, 0.9, 0.99)
+        for g in sample_graphs(24, n_max=10, seed=3):
+            self.assert_within_bound(profile_matrix(g), deltas)
+
+    def test_path_200(self):
+        path = build_graph(200, [(i, i + 1) for i in range(199)])
+        nodes = [*range(0, 200, 9), 99, 100, 199]
+        self.assert_within_bound(profile_matrix(path), (0.01, 0.5, 0.99), nodes)
+
+    def test_complete_graph(self):
+        k12 = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
+        self.assert_within_bound(profile_matrix(k12), DeltaGrid.uniform(99).values)
+
+    def test_interior_and_leading_zero_rows(self):
+        # 0.1**3 is inexact, so the interior zero row has a nonzero error;
+        # at 1e-150 the last row's value 1e-450 underflows to 0 and only
+        # the absolute term covers it
+        rows = np.array([[11190, 0, 6740160], [0, 785916, 0], [0, 0, 1]], dtype=np.int64)
+        self.assert_within_bound(rows, (1e-150, 1e-9, 0.1, 0.5, 0.9))
+        dc = decay_matrix(rows, DeltaGrid((1e-150,)))
+        assert dc[2, 0] == 0.0 < decay_error_bound(dc, rows)[2, 0]
+
+    def test_bound_is_relative_to_the_value(self):
+        # gamma_{2L+1} scale: far below any fixed absolute window on P_200
+        path = profile_matrix(build_graph(200, [(i, i + 1) for i in range(199)]))
+        dc = decay_matrix(path, DeltaGrid.uniform(99))
+        assert (decay_error_bound(dc, path) <= 1e-13 * dc).all()
 
 
 class TestDifferenceCoeffs:

@@ -10,11 +10,17 @@ from scipy import stats
 from decaycent import (
     RejectionLimitError,
     TrialSeed,
-    is_connected,
     sample_connected_gnp,
     sample_gnp,
 )
 from decaycent.generation import pairs_connected
+from decaycent.graph import distance_matrix
+
+
+def assert_connected(g):
+    # distance_matrix (scipy) raises DisconnectedGraphError on a
+    # disconnected graph; the union-find under test is not used here
+    assert distance_matrix(g).max() < g.n
 
 
 class TestTrialSeed:
@@ -75,7 +81,7 @@ class TestSampleConnectedGnp:
         b, rb = sample_connected_gnp(10, 0.15, TrialSeed(3, 4))
         assert a.edges == b.edges
         assert ra == rb
-        assert is_connected(a)
+        assert_connected(a)
 
     def test_sparse_setting_terminates_or_errors_cleanly(self):
         # high rejection regime: either outcome is acceptable, but it must
@@ -86,7 +92,7 @@ class TestSampleConnectedGnp:
                 g, rejects = sample_connected_gnp(
                     10, 0.05, TrialSeed(4, idx), max_rejects=50_000
                 )
-                assert is_connected(g)
+                assert_connected(g)
                 outcomes.append(rejects)
             except RejectionLimitError as exc:
                 assert exc.rejects == 50_001

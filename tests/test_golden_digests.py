@@ -48,21 +48,21 @@ GRAPHS = {
 PINNED_COMPUTE = {
     "p40": {
         "csv": "751dafde4d66df15b6b0f173f58982632a3097fc036692110cfd5fb9851b4cfc",
-        "json": "bc0d1d6c43c3e1d2d006f5441f0ddce2fe13cb3ae3f044788276a3d6e90b1467",
-        "json_full": "54ee3b8c05f0956db1a261f50374bec4dc8855f3860e96578228311902e74764",
+        "json": "d8d6183bc39e2b66f9902e8f09470e35a53a4f4f0d5372918735ea44ddbde3a8",
+        "json_full": "0b67f8fa976627430c332830581e6791a1c60a952523b3fbec4982e4e65347bb",
     },
     "crossing": {
         "csv": "5df3d7252cc25c9309e89aeb003cea4625fdde9c01d032c9800971d193e79937",
-        "json": "117fb73b69b3277fd3d5bb6499a73bc2fcc6e701c82f00ae6f643e0b3f640d6c",
-        "json_full": "77963bd2e6b4758feb5e2a833771dcdcadac1d4e13d973fa444e3b0460d7b83a",
+        "json": "e55a91241e39cb973a356a1aa12b2f8c4ecffcddcb4ce618c5c9afa15b73b89b",
+        "json_full": "40741ae2f63df81378b1b009bb3ab9536a12bae16ec588054da74e139fc16492",
     },
 }
 
 COMPARE_PAIRS = {"p40": (0, 20), "crossing": CROSSING_PAIR}
 
 PINNED_COMPARE = {
-    "p40": "4ca1aac48981dd3cce865aed0ceea978954d86076fc17d4e68187d98f282c328",
-    "crossing": "9dd912eabeb8eca347b8e9ced7ce073bd813c4ac99bc2c377b1c79003b6a76b8",
+    "p40": "24c2651a7857f48dcfb9174c13ad8efcae10c940f61a71efef0706d847779b67",
+    "crossing": "c2bfecbeef7704e96ec56db349fe02996d709d9b6036a43e7edfccb1fc83a194",
 }
 
 

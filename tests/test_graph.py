@@ -1,4 +1,4 @@
-"""Graph construction, connectivity, and BFS distance profiles."""
+"""Graph construction and BFS distance profiles."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from decaycent import (
     all_profiles,
     build_graph,
     distance_profile,
-    is_connected,
     profile_matrix,
     sample_connected_gnp,
     TrialSeed,
@@ -47,17 +46,6 @@ class TestBuildGraph:
             assert list(nbrs) == sorted(nbrs)
             for j in nbrs:
                 assert i in g.adjacency[j]
-
-
-class TestConnectivity:
-    def test_path_connected(self, p3):
-        assert is_connected(p3)
-
-    def test_two_components(self):
-        assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
-
-    def test_singleton_connected(self):
-        assert is_connected(build_graph(1, []))
 
 
 class TestDistanceProfile:

@@ -372,6 +372,17 @@ class TestCertifiedFilter:
         sets = decay_argmax_sets(decay_matrix(rows, grid), rows, grid)
         assert sets == (exact_decay_argmax(rows, 0.1),) == (frozenset({0}),)
 
+    def test_float_order_reversed_by_exact(self):
+        # decay_matrix puts row 1 one ulp above row 0 at delta = 0.1, while
+        # the exact values have row 0 above by 3.5e-13: the window must keep
+        # row 0 although its float value is not the largest
+        rows = np.array([[13589, 0, 7685170], [0, 904407, 0]], dtype=np.int64)
+        grid = DeltaGrid((0.1,))
+        dc = decay_matrix(rows, grid)
+        assert dc[1, 0] > dc[0, 0]
+        sets = decay_argmax_sets(dc, rows, grid)
+        assert sets == (exact_decay_argmax(rows, 0.1),) == (frozenset({0}),)
+
     def test_path_needs_no_exact_comparison(self, monkeypatch):
         # every near-tie on P_200 is separated by the certified floats
         calls = []

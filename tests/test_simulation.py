@@ -1,5 +1,8 @@
 """Trial records, ranks, the rule-of-thumb pick, aggregation, determinism."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,16 +12,21 @@ from decaycent import (
     TrialSeed,
     aggregate,
     build_graph,
-    rank_of,
-    rule_of_thumb_pick,
     run_experiment,
     run_trial,
     run_trials,
     sample_connected_gnp,
 )
+from decaycent import simulation
 from decaycent.centrality import decay_matrix
-from decaycent.graph import profile_matrix
-from decaycent.simulation import nearest_rank_percentile, uniform_grid
+from decaycent.ordering import _profile_group_ids
+from decaycent.simulation import (
+    decay_ranks,
+    iter_trials,
+    nearest_rank_percentile,
+    uniform_grid,
+)
+from decaycent.verification import floyd_warshall, sample_graphs
 
 GRID9 = DeltaGrid.uniform(9)
 
@@ -74,66 +82,155 @@ class TestRunTrial:
             assert rec.transition_clean is not None
 
 
-class TestRankOf:
-    def test_unique_global_max(self):
-        assert rank_of({2}, [0.1, 0.5, 0.9]) == 1
-
-    def test_all_nodes_rank_one(self):
-        assert rank_of({0, 1, 2}, [0.3, 0.2, 0.9]) == 1
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            rank_of(set(), [0.1])
-
-    def test_hand_graph_against_sort_oracle(self):
-        # n=6 kite-like graph with a known decay ordering at 0.3
-        g = build_graph(
-            6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)]
-        )
-        pm = profile_matrix(g)
-        grid = DeltaGrid((0.3,))
-        dc = decay_matrix(pm, grid)[:, 0]
-        # competition ranks by brute-force sorting
-        for node in range(6):
-            expected = 1 + sum(1 for u in range(6) if dc[u] > dc[node] + 1e-12)
-            assert (
-                rank_of({node}, dc, profiles=pm, delta=0.3) == expected
-            )
-
-    def test_exact_ties_share_rank(self, star4):
-        pm = profile_matrix(star4)
-        grid = DeltaGrid((0.4,))
-        dc = decay_matrix(pm, grid)[:, 0]
-        for leaf in (1, 2, 3):
-            assert rank_of({leaf}, dc, profiles=pm, delta=0.4) == 2
+def brute_force_ranks(g, grid):
+    """Rank and rule-of-thumb fields of a trial record, from Floyd-Warshall
+    distances and exact rational decay values of every node."""
+    dist = floyd_warshall(g)
+    n = g.n
+    degree = [sum(1 for d in row if d == 1) for row in dist]
+    farness = [int(sum(row)) for row in dist]
+    deg_set = [v for v in range(n) if degree[v] == max(degree)]
+    clos_set = [v for v in range(n) if farness[v] == min(farness)]
+    out = {f: [] for f in ("rank_deg_best", "rank_clos_best", "rank_rule",
+                           "rank_deg_avg", "rank_clos_avg", "rule_pick")}
+    for delta in grid.values:
+        x = Fraction(delta)
+        value = [sum(x ** int(d) for j, d in enumerate(row) if j != i)
+                 for i, row in enumerate(dist)]
+        rank = [1 + sum(1 for u in range(n) if value[u] > value[v]) for v in range(n)]
+        if delta < 0.5:
+            candidates = deg_set
+        elif delta > 0.5:
+            candidates = clos_set
+        else:
+            candidates = sorted(set(deg_set) | set(clos_set))
+        pick = min(candidates, key=lambda v: (rank[v], v))
+        out["rank_deg_best"].append(min(rank[v] for v in deg_set))
+        out["rank_clos_best"].append(min(rank[v] for v in clos_set))
+        out["rank_deg_avg"].append(sum(rank[v] for v in deg_set) / len(deg_set))
+        out["rank_clos_avg"].append(sum(rank[v] for v in clos_set) / len(clos_set))
+        out["rule_pick"].append(pick)
+        out["rank_rule"].append(rank[pick])
+    return {f: tuple(v) for f, v in out.items()}
 
 
-class TestRuleOfThumbPick:
-    def test_identical_sets_same_pick_both_sides(self, star4):
-        pm = profile_matrix(star4)
-        grid = DeltaGrid((0.25, 0.75))
-        dc = decay_matrix(pm, grid)
-        lo = rule_of_thumb_pick({0}, {0}, dc[:, 0], 0.25, profiles=pm)
-        hi = rule_of_thumb_pick({0}, {0}, dc[:, 1], 0.75, profiles=pm)
-        assert lo == hi == 0
+# two profiles that tie exactly at delta = 1/2: (3,1,2,0,0,0) at the
+# max-degree nodes 2 and 4 and (2,4,0,0,0,0) at the max-closeness node 5
+# (difference -delta(1-delta)(1-2delta)); found by seeded search over
+# G(7, 0.3) samples, then frozen
+HALF_TIE_EDGES = [(0, 2), (1, 4), (2, 5), (2, 6), (3, 4), (4, 5)]
 
-    def test_disjoint_sets_low_delta_picks_from_degree_set(self):
-        dc = [0.9, 0.8, 0.7, 0.95]
-        assert rule_of_thumb_pick({1, 2}, {3}, dc, 0.3) == 1
-        assert rule_of_thumb_pick({1, 2}, {3}, dc, 0.7) == 3
+GRID19 = DeltaGrid.uniform(19)  # holds 0.5 exactly
 
-    def test_union_at_exactly_half(self):
-        dc = [0.1, 0.8, 0.9, 0.2]
-        assert rule_of_thumb_pick({1}, {2}, dc, 0.5) == 2
 
-    def test_exact_tie_breaks_to_lowest_id(self, star4):
-        pm = profile_matrix(star4)
-        dc = decay_matrix(pm, DeltaGrid((0.5,)))[:, 0]
-        assert rule_of_thumb_pick({1, 2, 3}, {1, 2, 3}, dc, 0.3, profiles=pm) == 1
+class TestTieHeavyMemory:
+    @pytest.mark.parametrize("name", ["cycle", "complete"])
+    def test_peak_memory_is_bounded(self, name):
+        # every node ties: ranks work on one profile group, not on an
+        # n x n x grid array (about 127 MB per float array on C_400)
+        n = 400 if name == "cycle" else 150
+        if name == "cycle":
+            edges = [(i, (i + 1) % n) for i in range(n)]
+        else:
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = build_graph(n, edges)
+        tracemalloc.start()
+        try:
+            rec = run_trial(g, uniform_grid(99))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r == 1 for r in rec.rank_rule)
+        assert peak < 24e6
 
-    def test_empty_sets_rejected(self):
-        with pytest.raises(ValueError):
-            rule_of_thumb_pick(set(), {1}, [0.5, 0.5], 0.3)
+
+class TestRanksAgainstBruteForce:
+    """run_trial's rank and pick fields equal an exact brute-force ranking."""
+
+    def assert_matches(self, g, grid=GRID19):
+        rec = run_trial(g, grid)
+        want = brute_force_ranks(g, grid)
+        assert {f: getattr(rec, f) for f in want} == want
+
+    def test_sampled_graphs(self):
+        for g in sample_graphs(16, n_max=10, seed=5):
+            self.assert_matches(g)
+
+    def test_complete_graph(self):
+        self.assert_matches(build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)]))
+
+    def test_star_and_crossing(self, star4, crossing_graph):
+        self.assert_matches(star4)
+        self.assert_matches(crossing_graph)
+
+    def test_path_with_deep_near_ties(self):
+        # at small delta the centre nodes' intervals overlap (their
+        # profiles first differ ten levels deep), so the exact sign decides
+        # their ranks
+        path = build_graph(30, [(i, i + 1) for i in range(29)])
+        self.assert_matches(path, DeltaGrid((0.01, 0.05, 0.25, 0.5, 0.75, 0.99)))
+
+    def test_hand_graph(self):
+        # n=6 kite: a triangle with a two-edge tail
+        self.assert_matches(build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)]))
+
+    def test_distinct_profiles_tie_at_half(self):
+        g = build_graph(7, HALF_TIE_EDGES)
+        rec = run_trial(g, GRID19)
+        assert rec.deg_set == {2, 4} and rec.clos_set == {5}
+        half = GRID19.values.index(0.5)
+        # all three tie exactly: every set ranks first, the pick is the lowest id
+        assert rec.rank_deg_best[half] == rec.rank_clos_best[half] == 1
+        assert rec.rank_rule[half] == 1 and rec.rule_pick[half] == 2
+        assert rec.rank_clos_best[half - 1] == 3 and rec.rank_deg_best[half + 1] == 2
+        self.assert_matches(g)
+
+
+class TestDecayRanks:
+    def test_float_order_reversed_by_exact(self):
+        # at delta = 0.1 the floats put rows 1 and 2 one ulp above row 0;
+        # exactly, row 0 is above them by 3.5e-13.  Rows 3 and 4 tie in
+        # float while row 3 is exactly above by 1.8e-13.
+        rows = np.array([[13589, 0, 7685170], [0, 904407, 0], [0, 904407, 0],
+                         [7666, 0, 4031130], [0, 479773, 0]], dtype=np.int64)
+        grid = DeltaGrid((0.1, 0.5))
+        dc = decay_matrix(rows, grid)
+        assert dc[1, 0] > dc[0, 0] and dc[3, 0] == dc[4, 0]
+        ranks = decay_ranks(dc, rows, _profile_group_ids(rows), grid.fractions(), range(5))
+        for g, delta in enumerate(grid.values):
+            x = Fraction(delta)
+            value = [sum(int(c) * x**l for l, c in enumerate(row, 1)) for row in rows]
+            want = [1 + sum(u > v for u in value) for v in value]
+            assert ranks[:, g].tolist() == want
+        assert ranks[:, 0].tolist() == [1, 2, 2, 4, 5]
+
+
+class TestWorkerPool:
+    def test_pool_never_larger_than_the_trial_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        class Context:
+            Pool = SerialPool
+
+        monkeypatch.setattr(simulation.multiprocessing, "get_context", lambda _: Context)
+        base = dict(n=8, p=0.5, seed=3, grid_points=5)
+        assert len(list(iter_trials(SimulationConfig(trials=3, workers=8, **base)))) == 3
+        assert len(list(iter_trials(SimulationConfig(trials=1, workers=4, **base)))) == 1
+        assert len(list(iter_trials(SimulationConfig(trials=6, workers=2, **base)))) == 6
+        assert sizes == [3, 2]
 
 
 class TestAggregate:
