@@ -12,6 +12,7 @@ from decaycent import (
     TrialSeed,
     aggregate,
     build_graph,
+    profile_matrix,
     run_experiment,
     run_trial,
     run_trials,
@@ -179,11 +180,55 @@ class TestRanksAgainstBruteForce:
         rec = run_trial(g, GRID19)
         assert rec.deg_set == {2, 4} and rec.clos_set == {5}
         half = GRID19.values.index(0.5)
-        # all three tie exactly: every set ranks first, the pick is the lowest id
-        assert rec.rank_deg_best[half] == rec.rank_clos_best[half] == 1
-        assert rec.rank_rule[half] == 1 and rec.rule_pick[half] == 2
+        # the exact tie at 1/2 itself is checked in TestRankOf and TestRuleOfThumbPick
         assert rec.rank_clos_best[half - 1] == 3 and rec.rank_deg_best[half + 1] == 2
         self.assert_matches(g)
+
+
+class TestRankOf:
+    """Competition ranks as :func:`decay_ranks` and run_trial report them."""
+
+    def test_exact_ties_share_rank(self, star4):
+        pm = profile_matrix(star4)
+        grid = DeltaGrid((0.4,))
+        dc = decay_matrix(pm, grid)
+        ranks = decay_ranks(dc, pm, _profile_group_ids(pm), grid.fractions(), range(4))
+        assert ranks[:, 0].tolist() == [1, 2, 2, 2]
+        # distinct profiles that tie exactly at 1/2 share rank 1 as well
+        rec = run_trial(build_graph(7, HALF_TIE_EDGES), GRID19)
+        half = GRID19.values.index(0.5)
+        assert rec.rank_deg_best[half] == rec.rank_clos_best[half] == 1
+
+
+class TestRuleOfThumbPick:
+    """run_trial's rule-of-thumb pick: the best-ranked node of the
+    max-degree set below 1/2, of the max-closeness set above 1/2, and of
+    their union at exactly 1/2; exact ties go to the lowest id."""
+
+    def half_tie_record(self):
+        rec = run_trial(build_graph(7, HALF_TIE_EDGES), GRID19)
+        assert rec.deg_set == {2, 4} and rec.clos_set == {5}
+        return rec, GRID19.values.index(0.5)
+
+    def test_disjoint_sets_low_delta_picks_from_degree_set(self):
+        rec, half = self.half_tie_record()
+        assert all(p in {2, 4} for p in rec.rule_pick[:half])
+        assert all(p == 5 for p in rec.rule_pick[half + 1:])
+        assert rec.rank_rule[:half] == rec.rank_deg_best[:half]
+        assert rec.rank_rule[half + 1:] == rec.rank_clos_best[half + 1:]
+
+    def test_union_at_exactly_half(self):
+        rec, half = self.half_tie_record()
+        assert rec.rule_pick[half] in {2, 4, 5}
+        assert rec.rank_rule[half] == min(rec.rank_deg_best[half], rec.rank_clos_best[half])
+
+    def test_exact_tie_breaks_to_lowest_id(self):
+        rec, half = self.half_tie_record()
+        # 2, 4 and 5 tie exactly at 1/2
+        assert rec.rule_pick[half] == 2
+        # on a complete graph every node ties: the pick is node 0 everywhere
+        k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        assert all(p == 0 for p in run_trial(k5, GRID9).rule_pick)
 
 
 class TestDecayRanks:
