@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import DistanceProfile, Graph, profile_matrix
+from .graph import Graph, profile_matrix
 
 #: Unit roundoff of IEEE double precision.
 UNIT_ROUNDOFF = 2.0**-53
@@ -73,32 +73,16 @@ class DeltaGrid:
         return cached
 
 
-def _as_counts(profile: DistanceProfile | Sequence[int]) -> Sequence[int]:
-    if isinstance(profile, DistanceProfile):
-        return profile.counts
-    return profile
-
-
-def decay_centrality(profile: DistanceProfile | Sequence[int], delta: float) -> float:
-    """Evaluate the decay polynomial by Horner's scheme from the highest power."""
+def decay_centrality(counts: Sequence[int], delta: float) -> float:
+    """Decay centrality of one profile row at one ``delta``, by Horner's
+    scheme from the highest power; the scalar oracle for
+    :func:`decay_matrix`."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    counts = _as_counts(profile)
     acc = 0.0
     for c in reversed(counts):
         acc = acc * delta + c
     return acc * delta
-
-
-def decay_curve(
-    profile: DistanceProfile | Sequence[int], grid: DeltaGrid
-) -> np.ndarray:
-    """Decay centrality at every grid point (pointwise equal to
-    :func:`decay_centrality`)."""
-    if not isinstance(grid, DeltaGrid):
-        grid = DeltaGrid(tuple(grid))
-    counts = _as_counts(profile)
-    return np.array([decay_centrality(counts, d) for d in grid], dtype=np.float64)
 
 
 def live_levels(profiles: np.ndarray) -> int:
@@ -204,12 +188,11 @@ def cvec_from_fvec(fvec: Sequence[int]) -> tuple[float, ...]:
 class CentralityTable:
     """All per-node centrality quantities for one connected graph.
 
-    Built from one profile matrix (:attr:`counts`, shape ``(n, n - 1)``).
-    Farness is exact; closeness is kept as the exact rational ``1/farness``
-    (see :meth:`closeness_exact`) with :attr:`closeness` as the float view,
-    so maximizer ties stay exact.  The per-node profile objects and the
-    signed vectors are built on first use only; :meth:`fvec` builds one
-    node's vector.
+    Built from one profile matrix (:attr:`counts`, shape ``(n, n - 1)``;
+    row ``i`` is node ``i``'s profile).  Degree and farness are exact
+    integers, so closeness (``1/farness``) ties stay exact.  The signed
+    vectors are built on first use only; :meth:`fvec` builds one node's
+    vector.
     """
 
     graph: Graph
@@ -221,33 +204,12 @@ class CentralityTable:
     def n(self) -> int:
         return self.graph.n
 
-    @cached_property
-    def profiles(self) -> tuple[DistanceProfile, ...]:
-        return tuple(
-            DistanceProfile(node=i, counts=tuple(row))
-            for i, row in enumerate(self.counts.tolist())
-        )
-
     def fvec(self, node: int) -> tuple[int, ...]:
         return fvec_from_counts(self.counts[node].tolist())
 
     @cached_property
     def fvecs(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.fvec(i) for i in range(self.n))
-
-    @cached_property
-    def cvecs(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(cvec_from_fvec(f) for f in self.fvecs)
-
-    @property
-    def closeness(self) -> tuple[float, ...]:
-        return tuple(1.0 / f for f in self.farness)
-
-    def closeness_exact(self, node: int) -> Fraction:
-        return Fraction(1, self.farness[node])
-
-    def decay(self, node: int, delta: float) -> float:
-        return decay_centrality(self.counts[node].tolist(), delta)
 
     def decay_values(self, grid: DeltaGrid) -> np.ndarray:
         return decay_matrix(self.counts, grid)
@@ -267,7 +229,7 @@ def centrality_table(g: Graph) -> CentralityTable:
 
 
 def dc_difference_coeffs(
-    pi: DistanceProfile | Sequence[int], pj: DistanceProfile | Sequence[int]
+    ci: Sequence[int], cj: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-level profile differences and farness-vector differences.
 
@@ -275,7 +237,6 @@ def dc_difference_coeffs(
     graph (profile counts each total ``n - 1``, and the alternating
     binomial sums telescope to the same constant).
     """
-    ci, cj = _as_counts(pi), _as_counts(pj)
     if len(ci) != len(cj):
         raise ValueError(f"profile lengths differ: {len(ci)} vs {len(cj)}")
     avec = tuple(int(a) - int(b) for a, b in zip(ci, cj))

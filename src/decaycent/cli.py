@@ -37,7 +37,7 @@ from .ordering import (
     maximizer_sets,
 )
 from .simulation import SimulationConfig, run_experiment
-from .verification import run_all_checks
+from .verification import MIN_CHECK_NODES, run_all_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -246,6 +246,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.n_max < MIN_CHECK_NODES:
+        raise UsageError(f"check needs --n-max >= {MIN_CHECK_NODES}, got {args.n_max}")
     results = run_all_checks(n_max=args.n_max, graphs=args.graphs, seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

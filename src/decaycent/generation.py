@@ -77,7 +77,9 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, k=1)
 
 
-def _validate_np(n: int, p: float) -> None:
+def validate_np(n: int, p: float) -> None:
+    """Reject a node count or link probability that G(n, p) sampling
+    cannot use."""
     if n < 2:
         raise ValueError(f"need at least two nodes, got {n}")
     if not (0.0 < p <= 1.0):
@@ -124,7 +126,7 @@ def _draw_edges(
 def sample_gnp(n: int, p: float, seed: TrialSeed) -> Graph:
     """One G(n, p) draw: each unordered pair independently with probability
     ``p``, deterministic in the seed."""
-    _validate_np(n, p)
+    validate_np(n, p)
     rng = seed.stream(0)
     m_all = n * (n - 1) // 2
     k = int(rng.binomial(m_all, p))
@@ -148,7 +150,7 @@ def sample_connected_gnp(
     more than ``max_rejects`` attempts have been discarded; whether a given
     trial succeeds is itself deterministic in ``(seed, max_rejects)``.
     """
-    _validate_np(n, p)
+    validate_np(n, p)
     m_all = n * (n - 1) // 2
     min_edges = n - 1
     rejects = 0

@@ -2,12 +2,12 @@
 
 Nodes are contiguous integers ``0..n-1``; external labels belong at the
 I/O boundary.  Graphs are immutable after construction and safe to share
-across workers; every BFS uses per-call scratch memory.
+across workers.  A node's distance profile is one integer row of
+:func:`profile_matrix`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,24 +18,6 @@ from scipy.sparse.csgraph import shortest_path
 
 class DisconnectedGraphError(ValueError):
     """Raised when an operation needs finite geodesic distances everywhere."""
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Counts of nodes at each geodesic distance from one node.
-
-    ``counts[l - 1]`` is the number of nodes at distance exactly ``l``.
-    The vector always has length ``n - 1``; trailing entries are zero when
-    the node's eccentricity is smaller.  On a connected graph the counts
-    sum to ``n - 1`` and ``counts[0]`` is the node's degree.
-    """
-
-    node: int
-    counts: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return self.counts[0] if self.counts else 0
 
 
 @dataclass(frozen=True)
@@ -98,41 +80,12 @@ def _finish_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
     return Graph(n=n, edges=tuple(pairs), adjacency=adjacency)
 
 
-def distance_profile(g: Graph, node: int) -> DistanceProfile:
-    """BFS-exact distance counts from ``node``.
-
-    Raises :class:`DisconnectedGraphError` when some node is unreachable,
-    since geodesic distances are undefined there.
-    """
-    if not (0 <= node < g.n):
-        raise ValueError(f"node {node} outside 0..{g.n - 1}")
-    dist = [-1] * g.n
-    dist[node] = 0
-    queue = deque([node])
-    reached = 1
-    counts = [0] * (g.n - 1)
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for y in g.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dx + 1
-                counts[dx] += 1
-                reached += 1
-                queue.append(y)
-    if reached != g.n:
-        raise DisconnectedGraphError(
-            f"graph is disconnected ({reached} of {g.n} nodes reachable from {node})"
-        )
-    return DistanceProfile(node=node, counts=tuple(counts))
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs geodesic distances as an ``(n, n)`` int array.
 
     Runs one BFS per node through scipy's compiled shortest-path kernel;
-    cross-checked against the per-node :func:`distance_profile` BFS by the
-    test suite.
+    cross-checked against Floyd-Warshall by the test suite and by
+    ``decaycent check``.
     """
     n = g.n
     if n == 1:
@@ -153,7 +106,9 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 def profile_matrix(g: Graph) -> np.ndarray:
     """Distance-count matrix of shape ``(n, n - 1)``; row ``i`` is node
-    ``i``'s profile.  Column ``l - 1`` counts nodes at distance ``l``.
+    ``i``'s profile.  Column ``l - 1`` counts nodes at distance ``l``, so
+    column 0 is the degree, each row sums to ``n - 1``, and entries past
+    the node's eccentricity are zero.
 
     All levels are counted by one ``bincount`` over ``row * (D + 1) + dist``
     (``D`` the diameter), so the work is O(n^2) whatever the diameter.
@@ -168,12 +123,3 @@ def profile_matrix(g: Graph) -> np.ndarray:
     counts = np.bincount(keys.ravel(), minlength=n * width).reshape(n, width)
     out[:, : width - 1] = counts[:, 1:]
     return out
-
-
-def all_profiles(g: Graph) -> list[DistanceProfile]:
-    """Profiles for nodes ``0..n-1``, identical to per-node BFS calls."""
-    mat = profile_matrix(g)
-    return [
-        DistanceProfile(node=i, counts=tuple(int(c) for c in mat[i]))
-        for i in range(g.n)
-    ]

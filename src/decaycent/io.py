@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .centrality import CentralityTable, DeltaGrid
+from .centrality import CentralityTable, DeltaGrid, cvec_from_fvec
 from .graph import Graph, build_graph
 from .meta import conventions, version_string
 from .ordering import MaximizerSets
@@ -206,9 +206,9 @@ def centrality_payload(
             "dc": dcs,
         }
         if full:
-            entry["profile"] = list(table.profiles[i].counts)
+            entry["profile"] = table.counts[i].tolist()
             entry["fvec"] = list(table.fvecs[i])
-            entry["cvec"] = list(table.cvecs[i])
+            entry["cvec"] = list(cvec_from_fvec(table.fvecs[i]))
         nodes.append(entry)
     return {
         "grid": list(grid.values),

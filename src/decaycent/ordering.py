@@ -34,7 +34,7 @@ from .centrality import (
     farness_vector,
     live_levels,
 )
-from .graph import DistanceProfile, Graph, profile_matrix
+from .graph import Graph, profile_matrix
 
 
 class Relation(str, Enum):
@@ -129,13 +129,9 @@ def ud_compare(a: Sequence[int], b: Sequence[int], rule: str = "ud") -> Comparis
     return ComparisonVerdict(relation=rel, rule=rule, detail=first_strict)
 
 
-def check_profile_dominance(
-    pi: DistanceProfile | Sequence[int], pj: DistanceProfile | Sequence[int]
-) -> ComparisonVerdict:
+def check_profile_dominance(ci: Sequence[int], cj: Sequence[int]) -> ComparisonVerdict:
     """Dominance of distance profiles certifies the decay order for every
     decay parameter in (0, 1); ``incomparable`` means this test is silent."""
-    ci = pi.counts if isinstance(pi, DistanceProfile) else tuple(pi)
-    cj = pj.counts if isinstance(pj, DistanceProfile) else tuple(pj)
     return ud_compare(ci, cj, rule="profile-dominance")
 
 
@@ -174,15 +170,13 @@ def _max_abs_prefix(diffs: Sequence[int]) -> int:
     return max((abs(x) for x in sums[1:]), default=0)
 
 
-def check_low_delta_conditions(
-    pi: DistanceProfile | Sequence[int], pj: DistanceProfile | Sequence[int]
-) -> SufficiencyResult:
+def check_low_delta_conditions(ci: Sequence[int], cj: Sequence[int]) -> SufficiencyResult:
     """Sufficient conditions for a strict decay-centrality advantage of
     ``i`` over ``j`` on the whole range (0, 1/2].
 
     Requires a strict degree surplus ``A1 = deg(i) - deg(j) > 0``.  With
-    ``A_l`` the per-level profile differences and ``n - 1`` the profile
-    length plus one, the four conditions are:
+    ``A_l`` the per-level profile differences and ``n`` the profile length
+    plus one (the node count), the four conditions are:
 
     1. ``2*A1 >= (n-1) - deg(j)``
     2. ``4*A1 + 2*A2 >= (n-1) - (deg(j) + dist2(j))``
@@ -192,8 +186,6 @@ def check_low_delta_conditions(
     Empty ranges (tiny graphs) make the max zero, so the condition reduces
     to the precondition.
     """
-    ci = pi.counts if isinstance(pi, DistanceProfile) else tuple(pi)
-    cj = pj.counts if isinstance(pj, DistanceProfile) else tuple(pj)
     _require_same_length(ci, cj)
     rule = "low-delta-conditions"
     diffs = [int(a) - int(b) for a, b in zip(ci, cj)]

@@ -28,16 +28,19 @@ import numpy as np
 
 from .centrality import (
     DeltaGrid,
+    dc_difference_float,
     dc_difference_sign,
     decay_error_bound,
     decay_matrix,
     farness_vector,
+    live_levels,
 )
 from .generation import (
     DEFAULT_MAX_REJECTS,
     RejectionLimitError,
     TrialSeed,
     sample_connected_gnp,
+    validate_np,
 )
 from .graph import Graph, profile_matrix
 from .meta import conventions, version_string
@@ -108,14 +111,18 @@ def decay_ranks(
     ``dc`` is ``decay_matrix(profiles, grid)`` and ``group_ids`` numbers
     the distinct profiles ``0 .. K-1``.  Works on profile groups (nodes
     with one profile tie exactly), one member group at a time, so memory
-    stays at ``O(K * grid)``.  A group counts as greater when its value
+    stays at ``O(K * (grid + levels))``.  A group counts as greater when its value
     interval ``dc +- err`` (:func:`decay_error_bound`) lies wholly above
-    the member group's; groups whose intervals overlap it are decided by
-    the exact rational sign.
+    the member group's.  Groups whose intervals overlap it are compared
+    one grid column at a time through their difference polynomial to the
+    member group (:func:`dc_difference_float`, as in
+    :func:`decaycent.ordering.decay_argmax_sets`); only those that
+    comparison cannot certify go to the exact rational sign.
     """
     sizes = np.bincount(group_ids)
     rep = np.empty(len(sizes), dtype=np.intp)
     rep[group_ids] = np.arange(len(group_ids))  # any member: rows are equal
+    rows = profiles[rep, : live_levels(profiles)]
     err = decay_error_bound(dc[rep], profiles)
     lo, hi = dc[rep] - err, dc[rep] + err
     mine, back = np.unique(group_ids[np.asarray(members)], return_inverse=True)
@@ -125,9 +132,13 @@ def decay_ranks(
         near = ~above & (hi >= lo[h])
         near[h] = False
         ranks[r] = 1 + sizes @ above
-        for k, g in zip(*np.nonzero(near)):
-            if dc_difference_sign(profiles[rep[k]], profiles[rep[h]], fracs[g]) > 0:
-                ranks[r, g] += sizes[k]
+        for g in np.flatnonzero(near.any(axis=0)).tolist():
+            ks = np.flatnonzero(near[:, g])
+            diff, bound = dc_difference_float(rows[ks] - rows[h], float(fracs[g]))
+            greater = diff > bound
+            for t in np.flatnonzero(np.abs(diff) <= bound).tolist():
+                greater[t] = dc_difference_sign(rows[ks[t]], rows[h], fracs[g]) > 0
+            ranks[r, g] += sizes[ks] @ greater
     return ranks[back.reshape(-1)]
 
 
@@ -354,6 +365,11 @@ class SimulationConfig:
     max_rejects: int = DEFAULT_MAX_REJECTS
 
     def __post_init__(self) -> None:
+        # checked here, before run_experiment creates any file, by the
+        # sampler's, the seed's and the grid's own rules
+        validate_np(self.n, self.p)
+        TrialSeed(self.seed, 0)
+        self.grid()
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.workers < 1:

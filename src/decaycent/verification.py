@@ -21,10 +21,12 @@ from .centrality import (
     dc_difference_factored,
     dc_difference_factored_eps,
     dc_difference_sign,
+    decay_error_bound,
     decay_matrix,
+    fvec_from_counts,
 )
 from .generation import TrialSeed, sample_connected_gnp
-from .graph import Graph, all_profiles, distance_profile, profile_matrix
+from .graph import Graph, profile_matrix
 from .ordering import (
     ComparisonVerdict,
     Relation,
@@ -39,6 +41,8 @@ from .ordering import (
 )
 
 MAX_REPORTED_FAILURES = 5
+#: Smallest graph the property checks sample.
+MIN_CHECK_NODES = 4
 
 
 @dataclass
@@ -62,12 +66,16 @@ class PropertyResult:
             )
 
 
-def sample_graphs(count: int, n_max: int, seed: int, n_min: int = 4) -> list[Graph]:
+def sample_graphs(
+    count: int, n_max: int, seed: int, n_min: int = MIN_CHECK_NODES
+) -> list[Graph]:
     """Deterministic batch of small connected graphs with varied size and
     density."""
     probs = (0.25, 0.4, 0.55, 0.7)
     graphs: list[Graph] = []
     sizes = list(range(max(2, n_min), n_max + 1))
+    if not sizes:
+        raise ValueError(f"no graph size between {n_min} and n_max={n_max}")
     for i in range(count):
         n = sizes[i % len(sizes)]
         p = probs[(i // len(sizes)) % len(probs)]
@@ -110,8 +118,8 @@ def _edge_dump(g: Graph) -> list[list[int]]:
 
 
 def check_bfs_distances(graphs: Sequence[Graph]) -> PropertyResult:
-    """BFS profiles match Floyd-Warshall counts; distances are symmetric;
-    profile counts sum to n - 1; batch and per-node paths agree."""
+    """Profile-matrix rows match Floyd-Warshall counts; distances are
+    symmetric; profile counts sum to n - 1."""
     res = PropertyResult(name="bfs-distances", cases=0)
     for g in graphs:
         res.cases += 1
@@ -127,19 +135,17 @@ def check_bfs_distances(graphs: Sequence[Graph]) -> PropertyResult:
             )
             for i in range(n)
         ]
-        per_node = [distance_profile(g, i).counts for i in range(n)]
-        batch = [tuple(int(c) for c in row) for row in profile_matrix(g)]
+        batch = [tuple(row) for row in profile_matrix(g).tolist()]
         for i in range(n):
-            if per_node[i] != expected[i] or batch[i] != expected[i]:
+            if batch[i] != expected[i]:
                 res.record(
                     graph=_edge_dump(g),
                     node=i,
                     expected=list(expected[i]),
-                    bfs=list(per_node[i]),
                     batch=list(batch[i]),
                 )
                 break
-            if sum(per_node[i]) != n - 1:
+            if sum(batch[i]) != n - 1:
                 res.record(graph=_edge_dump(g), node=i, problem="profile sum")
                 break
     return res
@@ -155,7 +161,7 @@ def check_difference_factorizations(
     res = PropertyResult(name="difference-factorizations", cases=0)
     for g in graphs:
         dist = floyd_warshall(g)
-        profiles = all_profiles(g)
+        profiles = profile_matrix(g).tolist()
         n = g.n
         for i in range(n):
             for j in range(i + 1, n):
@@ -189,8 +195,6 @@ def check_reciprocal_reversal(
 ) -> PropertyResult:
     """Lex order of the signed farness vectors is the exact reverse of the
     implemented lex order of their reciprocal views."""
-    from .centrality import fvec_from_counts
-
     if compare_fn is None:
         compare_fn = lex_compare_cvec
     flipped = {
@@ -200,7 +204,7 @@ def check_reciprocal_reversal(
     }
     res = PropertyResult(name="reciprocal-lex-reversal", cases=0)
     for g in graphs:
-        fvecs = [fvec_from_counts(p.counts) for p in all_profiles(g)]
+        fvecs = [fvec_from_counts(row) for row in profile_matrix(g).tolist()]
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 res.cases += 1
@@ -214,18 +218,27 @@ def check_reciprocal_reversal(
     return res
 
 
+def _decay_intervals(pm: np.ndarray, grid: DeltaGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of the intervals ``dc +- err`` that hold the
+    exact decay values (:func:`decaycent.centrality.decay_error_bound`)."""
+    dc = decay_matrix(pm, grid)
+    err = decay_error_bound(dc, pm)
+    return dc - err, dc + err
+
+
 def _strict_order_everywhere(
     counts_i: Sequence[int],
     counts_j: Sequence[int],
     deltas: Sequence[float],
-    diffs: np.ndarray,
-    tol: float = 1e-12,
+    certain: np.ndarray,
 ) -> float | None:
     """Return a violating delta if DC_i <= DC_j anywhere, else None.
 
-    Float differences near zero are handed to the exact integer sign.
+    ``certain[k]`` says that ``DC_i > DC_j`` at ``deltas[k]`` is certified
+    by disjoint value intervals (``lo_i > hi_j``); every other delta is
+    handed to the exact integer sign.
     """
-    suspicious = np.flatnonzero(diffs <= tol)
+    suspicious = np.flatnonzero(~certain)
     for k in suspicious.tolist():
         if dc_difference_sign(counts_i, counts_j, deltas[k]) <= 0:
             return float(deltas[k])
@@ -239,20 +252,19 @@ def check_dominance_checkers(
     holds at every grid point."""
     if grid is None:
         grid = DeltaGrid.uniform(999)
-    from .centrality import fvec_from_counts
-
     res = PropertyResult(name="dominance-checkers-sound", cases=0)
     deltas = grid.values
     for g in graphs:
         pm = profile_matrix(g)
-        dc = decay_matrix(pm, grid)
-        fvecs = [fvec_from_counts(tuple(int(c) for c in row)) for row in pm]
+        lo, hi = _decay_intervals(pm, grid)
+        rows = pm.tolist()
+        fvecs = [fvec_from_counts(row) for row in rows]
         for i in range(g.n):
             for j in range(g.n):
                 if i == j:
                     continue
                 claims = []
-                if check_profile_dominance(pm[i], pm[j]).relation is Relation.GREATER:
+                if check_profile_dominance(rows[i], rows[j]).relation is Relation.GREATER:
                     claims.append("profile-dominance")
                 if (
                     check_farness_dominance(fvecs[i], fvecs[j]).relation
@@ -262,7 +274,7 @@ def check_dominance_checkers(
                 if not claims:
                     continue
                 res.cases += 1
-                bad = _strict_order_everywhere(pm[i], pm[j], deltas, dc[i] - dc[j])
+                bad = _strict_order_everywhere(rows[i], rows[j], deltas, lo[i] > hi[j])
                 if bad is not None:
                     res.record(
                         graph=_edge_dump(g), pair=[i, j], delta=bad, rules=claims
@@ -277,8 +289,6 @@ def check_half_range_conditions(
     high-delta conditions imply strict order on [0.5, 1)."""
     if grid is None:
         grid = DeltaGrid.uniform(999)
-    from .centrality import fvec_from_counts
-
     res = PropertyResult(name="half-range-conditions-sound", cases=0)
     deltas = np.asarray(grid.values)
     low_mask = deltas <= 0.5
@@ -287,17 +297,19 @@ def check_half_range_conditions(
     high_deltas = [d for d in grid.values if d >= 0.5]
     for g in graphs:
         pm = profile_matrix(g)
-        dc = decay_matrix(pm, grid)
-        fvecs = [fvec_from_counts(tuple(int(c) for c in row)) for row in pm]
+        lo, hi = _decay_intervals(pm, grid)
+        rows = pm.tolist()
+        fvecs = [fvec_from_counts(row) for row in rows]
         for i in range(g.n):
             for j in range(g.n):
                 if i == j:
                     continue
-                low = check_low_delta_conditions(pm[i], pm[j])
+                certain = lo[i] > hi[j]
+                low = check_low_delta_conditions(rows[i], rows[j])
                 if low.fires:
                     res.cases += 1
                     bad = _strict_order_everywhere(
-                        pm[i], pm[j], low_deltas, (dc[i] - dc[j])[low_mask]
+                        rows[i], rows[j], low_deltas, certain[low_mask]
                     )
                     if bad is not None:
                         res.record(
@@ -308,7 +320,7 @@ def check_half_range_conditions(
                 if high.fires:
                     res.cases += 1
                     bad = _strict_order_everywhere(
-                        pm[i], pm[j], high_deltas, (dc[i] - dc[j])[high_mask]
+                        rows[i], rows[j], high_deltas, certain[high_mask]
                     )
                     if bad is not None:
                         res.record(
@@ -331,15 +343,13 @@ def check_limit_orderings(
     """Near the endpoints the exact decay argmax coincides with the
     lexicographic winners: by distance profile at the low end and by the
     reciprocal farness view at the high end."""
-    from .centrality import fvec_from_counts
-
     res = PropertyResult(name="limit-orderings", cases=0)
     lo = Fraction(low_delta)
     hi = Fraction(high_delta)
     for g in graphs:
         res.cases += 1
         pm = profile_matrix(g)
-        rows = [tuple(int(c) for c in row) for row in pm]
+        rows = [tuple(row) for row in pm.tolist()]
         best_profile = max(rows)
         lexmax_low = {i for i, r in enumerate(rows) if r == best_profile}
         keys = [cvec_sort_key(fvec_from_counts(r)) for r in rows]
@@ -375,7 +385,7 @@ def check_dominance_partial_order(
     }
     for g in graphs:
         pm = profile_matrix(g)
-        rows = [tuple(int(c) for c in row) for row in pm]
+        rows = [tuple(row) for row in pm.tolist()]
         n = len(rows)
         for i in range(n):
             res.cases += 1

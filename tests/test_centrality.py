@@ -17,7 +17,6 @@ from decaycent import (
     dc_difference_factored_eps,
     dc_difference_sign,
     decay_centrality,
-    decay_curve,
     decay_matrix,
     sample_connected_gnp,
 )
@@ -59,8 +58,7 @@ class TestCentralityTable:
         t = centrality_table(p3)
         assert t.degrees == (1, 2, 1)
         assert t.farness == (3, 2, 3)
-        assert t.closeness == pytest.approx((1 / 3, 1 / 2, 1 / 3))
-        assert t.closeness_exact(0) == Fraction(1, 3)
+        assert t.counts.tolist() == [[1, 1], [2, 0], [1, 1]]
 
     def test_p3_fvecs_by_hand(self, p3):
         # node 0 profile (1,1): entry2 = -C(2,2)*1 = -1; node 1 (2,0): entry2 = 0
@@ -71,14 +69,13 @@ class TestCentralityTable:
     def test_star_farness(self, star4):
         t = centrality_table(star4)
         assert t.farness[0] == 3
-        assert t.closeness[0] == pytest.approx(1 / 3)
         assert t.farness[1] == t.farness[2] == t.farness[3] == 5
 
     def test_farness_is_first_fvec_entry(self, cycle5):
         t = centrality_table(cycle5)
         for i in range(5):
             assert t.fvecs[i][0] == t.farness[i]
-            assert t.cvecs[i][0] == pytest.approx(1 / t.farness[i])
+            assert cvec_from_fvec(t.fvecs[i])[0] == pytest.approx(1 / t.farness[i])
 
     def test_fvec_sign_pattern(self):
         g, _ = sample_connected_gnp(11, 0.3, TrialSeed(7, 1))
@@ -138,69 +135,69 @@ class TestCentralityTable:
 
 class TestDecayCentrality:
     def test_p3_hand_values(self, p3):
-        t = centrality_table(p3)
-        assert t.decay(1, 0.5) == pytest.approx(1.0)
-        assert t.decay(0, 0.5) == pytest.approx(0.75)
+        mat = profile_matrix(p3)
+        assert decay_centrality(mat[1], 0.5) == pytest.approx(1.0)
+        assert decay_centrality(mat[0], 0.5) == pytest.approx(0.75)
 
     def test_star_per_pair_oracle(self, star4):
-        t = centrality_table(star4)
-        assert t.decay(0, 0.3) == pytest.approx(0.9)
-        assert t.decay(1, 0.3) == pytest.approx(0.48)
+        mat = profile_matrix(star4)
+        assert decay_centrality(mat[0], 0.3) == pytest.approx(0.9)
+        assert decay_centrality(mat[1], 0.3) == pytest.approx(0.48)
         for node in range(4):
-            assert t.decay(node, 0.3) == pytest.approx(
+            assert decay_centrality(mat[node], 0.3) == pytest.approx(
                 oracle_decay(star4, node, 0.3), rel=1e-12
             )
 
     def test_delta_domain(self, p3):
-        t = centrality_table(p3)
+        row = profile_matrix(p3)[0]
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                t.decay(0, bad)
+                decay_centrality(row, bad)
 
     def test_horner_matches_naive_on_random_graphs(self):
         for idx in range(6):
             n = 6 + idx
             g, _ = sample_connected_gnp(n, 0.4, TrialSeed(13, idx))
-            t = centrality_table(g)
+            mat = profile_matrix(g)
             for node in range(n):
                 for delta in (0.05, 0.37, 0.5, 0.81, 0.99):
                     naive = oracle_decay(g, node, delta)
-                    assert t.decay(node, delta) == pytest.approx(naive, rel=1e-12)
+                    assert decay_centrality(mat[node], delta) == pytest.approx(
+                        naive, rel=1e-12
+                    )
 
     def test_monotone_in_delta_and_limits(self):
         g, _ = sample_connected_gnp(9, 0.35, TrialSeed(13, 100))
-        t = centrality_table(g)
-        grid = DeltaGrid.uniform(30)
-        for node in range(g.n):
-            curve = decay_curve(t.profiles[node], grid)
-            assert (np.diff(curve) > 0).all()
-            assert decay_centrality(t.profiles[node], 1e-9) < 1e-7
-            assert decay_centrality(t.profiles[node], 1 - 1e-9) == pytest.approx(
-                g.n - 1, abs=1e-5
-            )
+        mat = profile_matrix(g)
+        dc = decay_matrix(mat, DeltaGrid.uniform(30))
+        assert (np.diff(dc, axis=1) > 0).all()
+        for row in mat:
+            assert decay_centrality(row, 1e-9) < 1e-7
+            assert decay_centrality(row, 1 - 1e-9) == pytest.approx(g.n - 1, abs=1e-5)
 
 
 class TestDecayCurve:
+    """Rows of :func:`decay_matrix` as decay curves over a grid."""
+
     def test_p3_center_curve(self, p3):
-        t = centrality_table(p3)
         grid = DeltaGrid((0.25, 0.5, 0.75))
-        assert decay_curve(t.profiles[1], grid) == pytest.approx((0.5, 1.0, 1.5))
+        dc = decay_matrix(profile_matrix(p3), grid)
+        assert dc[1] == pytest.approx((0.5, 1.0, 1.5))
 
     def test_singleton_grid(self, star4):
-        t = centrality_table(star4)
-        grid = DeltaGrid((0.42,))
-        curve = decay_curve(t.profiles[2], grid)
-        assert len(curve) == 1
-        assert curve[0] == decay_centrality(t.profiles[2], 0.42)
+        mat = profile_matrix(star4)
+        dc = decay_matrix(mat, DeltaGrid((0.42,)))
+        assert dc.shape == (4, 1)
+        assert dc[2, 0] == decay_centrality(mat[2], 0.42)
 
     def test_matches_pointwise_recomputation(self):
         g, _ = sample_connected_gnp(10, 0.45, TrialSeed(14, 0))
-        t = centrality_table(g)
+        mat = profile_matrix(g)
         grid = DeltaGrid.uniform(25)
+        dc = decay_matrix(mat, grid)
         for node in range(g.n):
-            curve = decay_curve(t.profiles[node], grid)
             for k, delta in enumerate(grid.values):
-                assert curve[k] == decay_centrality(t.profiles[node], delta)
+                assert dc[node, k] == decay_centrality(mat[node], delta)
 
     def test_decay_matrix_bitwise_equals_scalar_horner(self):
         grid = DeltaGrid.uniform(99)
@@ -210,18 +207,17 @@ class TestDecayCurve:
         ):
             mat = profile_matrix(g)
             dc = decay_matrix(mat, grid)
-            for node in range(g.n):
-                assert dc[node].tolist() == decay_curve(mat[node].tolist(), grid).tolist()
+            for node, row in enumerate(mat.tolist()):
+                scalar = [decay_centrality(row, delta) for delta in grid.values]
+                assert dc[node].tolist() == scalar
 
     def test_decay_matrix_agrees_with_curve(self):
         g, _ = sample_connected_gnp(12, 0.35, TrialSeed(14, 1))
-        mat = profile_matrix(g)
         grid = DeltaGrid.uniform(19)
-        dc = decay_matrix(mat, grid)
+        dc = decay_matrix(profile_matrix(g), grid)
         for node in range(g.n):
-            assert dc[node] == pytest.approx(
-                decay_curve(tuple(int(c) for c in mat[node]), grid), rel=1e-12
-            )
+            naive = [oracle_decay(g, node, delta) for delta in grid.values]
+            assert dc[node] == pytest.approx(naive, rel=1e-12)
 
 
 class TestDecayErrorBound:
@@ -278,13 +274,13 @@ class TestDecayErrorBound:
 class TestDifferenceCoeffs:
     def test_identical_profiles_all_zero(self, star4):
         t = centrality_table(star4)
-        avec, bvec = dc_difference_coeffs(t.profiles[1], t.profiles[2])
+        avec, bvec = dc_difference_coeffs(t.counts[1], t.counts[2])
         assert avec == (0, 0, 0)
         assert bvec == (0, 0, 0)
 
     def test_p3_hand_values(self, p3):
         t = centrality_table(p3)
-        avec, bvec = dc_difference_coeffs(t.profiles[1], t.profiles[0])
+        avec, bvec = dc_difference_coeffs(t.counts[1], t.counts[0])
         assert avec == (1, -1)
         assert bvec == (-1, 1)
 
@@ -294,7 +290,7 @@ class TestDifferenceCoeffs:
             t = centrality_table(g)
             for i in range(g.n):
                 for j in range(i + 1, g.n):
-                    avec, bvec = dc_difference_coeffs(t.profiles[i], t.profiles[j])
+                    avec, bvec = dc_difference_coeffs(t.counts[i], t.counts[j])
                     assert sum(avec) == 0
                     assert sum(bvec) == 0
 
@@ -311,10 +307,11 @@ class TestFactoredForms:
 
     def test_p3_hand_value(self, p3):
         t = centrality_table(p3)
-        avec, bvec = dc_difference_coeffs(t.profiles[1], t.profiles[0])
+        avec, bvec = dc_difference_coeffs(t.counts[1], t.counts[0])
         assert dc_difference_factored(avec, 0.5) == pytest.approx(0.25)
         assert dc_difference_factored_eps(bvec, 0.5) == pytest.approx(0.25)
-        assert t.decay(1, 0.5) - t.decay(0, 0.5) == pytest.approx(0.25)
+        direct = decay_centrality(t.counts[1], 0.5) - decay_centrality(t.counts[0], 0.5)
+        assert direct == pytest.approx(0.25)
 
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
@@ -330,9 +327,11 @@ class TestFactoredForms:
             t = centrality_table(g)
             for i in range(n):
                 for j in range(i + 1, n):
-                    avec, bvec = dc_difference_coeffs(t.profiles[i], t.profiles[j])
+                    avec, bvec = dc_difference_coeffs(t.counts[i], t.counts[j])
                     for delta in grid.values:
-                        direct = t.decay(i, delta) - t.decay(j, delta)
+                        direct = decay_centrality(t.counts[i], delta) - decay_centrality(
+                            t.counts[j], delta
+                        )
                         assert dc_difference_factored(avec, delta) == pytest.approx(
                             direct, abs=1e-10
                         )

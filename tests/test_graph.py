@@ -1,13 +1,11 @@
-"""Graph construction and BFS distance profiles."""
+"""Graph construction and distance profiles (profile-matrix rows)."""
 
 import numpy as np
 import pytest
 
 from decaycent import (
     DisconnectedGraphError,
-    all_profiles,
     build_graph,
-    distance_profile,
     profile_matrix,
     sample_connected_gnp,
     TrialSeed,
@@ -48,38 +46,31 @@ class TestBuildGraph:
                 assert i in g.adjacency[j]
 
 
-class TestDistanceProfile:
+class TestProfileRows:
     def test_p3_endpoints_and_center(self, p3):
-        assert distance_profile(p3, 0).counts == (1, 1)
-        assert distance_profile(p3, 1).counts == (2, 0)
+        rows = profile_matrix(p3).tolist()
+        assert rows[0] == [1, 1]
+        assert rows[1] == [2, 0]
 
     def test_cycle5_oracle(self, cycle5):
         expected = oracle_profile(cycle5, 0)
         assert expected == (2, 2, 0, 0)
-        for node in range(5):
-            assert distance_profile(cycle5, node).counts == expected
+        for row in profile_matrix(cycle5).tolist():
+            assert tuple(row) == expected
 
     def test_disconnected_rejected(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            distance_profile(g, 0)
-        with pytest.raises(DisconnectedGraphError):
-            all_profiles(g)
+            profile_matrix(g)
 
-    def test_all_profiles_examples(self, p3, star4):
-        assert [p.counts for p in all_profiles(p3)] == [(1, 1), (2, 0), (1, 1)]
-        assert [p.counts for p in all_profiles(star4)] == [
-            (3, 0, 0),
-            (1, 2, 0),
-            (1, 2, 0),
-            (1, 2, 0),
+    def test_profile_matrix_examples(self, p3, star4):
+        assert profile_matrix(p3).tolist() == [[1, 1], [2, 0], [1, 1]]
+        assert profile_matrix(star4).tolist() == [
+            [3, 0, 0],
+            [1, 2, 0],
+            [1, 2, 0],
+            [1, 2, 0],
         ]
-
-    def test_all_profiles_matches_per_node_on_random_sample(self):
-        g, _ = sample_connected_gnp(8, 0.4, TrialSeed(11, 0))
-        batch = all_profiles(g)
-        for i in range(g.n):
-            assert batch[i] == distance_profile(g, i)
 
 
 class TestAgainstOracle:

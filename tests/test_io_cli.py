@@ -204,6 +204,20 @@ class TestSimulateCommand:
         cfg.write_text("bogus = 1\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p", "1.5"), ("--seed", "-1"), ("--grid-points", "0"), ("--n", "1")],
+    )
+    def test_bad_input_leaves_no_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sim"
+        args = {"--n": "8", "--p": "0.4", "--seed": "5", "--grid-points": "7", flag: value}
+        argv = ["simulate", "--trials", "2", "--out-dir", str(out)]
+        for key, val in args.items():
+            argv += [key, val]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_zero_graphs_empty_report_success(self, tmp_path, capsys):
@@ -219,6 +233,11 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("n_max", ["1", "2", "3"])
+    def test_too_small_n_max_is_usage_error(self, capsys, n_max):
+        assert main(["check", "--n-max", n_max, "--graphs", "4"]) == 1
+        assert "--n-max" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -24,7 +24,12 @@ from decaycent import (
     ud_compare,
 )
 from decaycent import ordering
-from decaycent.centrality import dc_difference_float, decay_matrix, fvec_from_counts
+from decaycent.centrality import (
+    dc_difference_float,
+    decay_centrality,
+    decay_matrix,
+    fvec_from_counts,
+)
 from decaycent.graph import profile_matrix
 from decaycent.ordering import decay_argmax_sets
 from decaycent.verification import sample_graphs
@@ -152,14 +157,14 @@ class TestUdCompare:
 class TestProfileDominance:
     def test_star_center_vs_leaf_with_decay_spot_check(self, star4):
         t = centrality_table(star4)
-        v = check_profile_dominance(t.profiles[0], t.profiles[1])
+        v = check_profile_dominance(t.counts[0], t.counts[1])
         assert v.relation is Relation.GREATER
         for delta in (0.1, 0.5, 0.9):
             assert oracle_decay(star4, 0, delta) > oracle_decay(star4, 1, delta)
 
     def test_identical_profiles_equal(self, star4):
         t = centrality_table(star4)
-        v = check_profile_dominance(t.profiles[1], t.profiles[3])
+        v = check_profile_dominance(t.counts[1], t.counts[3])
         assert v.relation is Relation.EQUAL
 
     def test_crossing_pair_incomparable(self, crossing_graph):
@@ -167,10 +172,11 @@ class TestProfileDominance:
         t = centrality_table(crossing_graph)
         # the curves genuinely cross, so by contraposition the profiles
         # cannot be dominance-ordered
-        low = t.decay(i, 0.05) - t.decay(j, 0.05)
-        high = t.decay(i, 0.95) - t.decay(j, 0.95)
+        ci, cj = t.counts[i], t.counts[j]
+        low = decay_centrality(ci, 0.05) - decay_centrality(cj, 0.05)
+        high = decay_centrality(ci, 0.95) - decay_centrality(cj, 0.95)
         assert low > 0 > high
-        v = check_profile_dominance(t.profiles[i], t.profiles[j])
+        v = check_profile_dominance(t.counts[i], t.counts[j])
         assert v.relation is Relation.INCOMPARABLE
 
 
@@ -207,19 +213,20 @@ class TestFarnessDominance:
                     v = check_farness_dominance(t.fvecs[i], t.fvecs[j])
                     if v.relation is Relation.GREATER:
                         for delta in grid.values:
-                            assert t.decay(i, delta) > t.decay(j, delta)
+                            dc_i = decay_centrality(t.counts[i], delta)
+                            assert dc_i > decay_centrality(t.counts[j], delta)
 
 
 class TestLowDeltaConditions:
     def test_star_all_four_fire(self, star4):
         t = centrality_table(star4)
-        res = check_low_delta_conditions(t.profiles[0], t.profiles[1])
+        res = check_low_delta_conditions(t.counts[0], t.counts[1])
         assert res.applicable
         assert res.satisfied == frozenset({1, 2, 3, 4})
 
     def test_zero_degree_gap_not_applicable(self, star4):
         t = centrality_table(star4)
-        res = check_low_delta_conditions(t.profiles[1], t.profiles[2])
+        res = check_low_delta_conditions(t.counts[1], t.counts[2])
         assert not res.applicable
         assert res.satisfied == frozenset()
         assert not res.fires
@@ -233,10 +240,11 @@ class TestLowDeltaConditions:
                 for j in range(g.n):
                     if i == j:
                         continue
-                    res = check_low_delta_conditions(t.profiles[i], t.profiles[j])
+                    res = check_low_delta_conditions(t.counts[i], t.counts[j])
                     if res.fires:
                         for delta in deltas:
-                            assert t.decay(i, delta) > t.decay(j, delta)
+                            dc_i = decay_centrality(t.counts[i], delta)
+                            assert dc_i > decay_centrality(t.counts[j], delta)
 
 
 class TestHighDeltaConditions:
@@ -270,7 +278,8 @@ class TestHighDeltaConditions:
                     res = check_high_delta_conditions(t.fvecs[i], t.fvecs[j])
                     if res.fires:
                         for delta in deltas:
-                            assert t.decay(i, delta) > t.decay(j, delta)
+                            dc_i = decay_centrality(t.counts[i], delta)
+                            assert dc_i > decay_centrality(t.counts[j], delta)
 
 
 class TestMaximizerSets:

@@ -250,6 +250,35 @@ class TestDecayRanks:
         assert ranks[:, 0].tolist() == [1, 2, 2, 4, 5]
 
 
+class TestRankCertification:
+    def test_float_certificate_replaces_exact_calls(self, monkeypatch):
+        # on P_80 the centre groups' value intervals overlap at small delta;
+        # their certified float differences settle them without the exact
+        # sign, and the record equals the one where every overlap is exact
+        path = build_graph(80, [(i, i + 1) for i in range(79)])
+        exact_sign = simulation.dc_difference_sign
+        float_difference = simulation.dc_difference_float
+        calls = []
+
+        def counting_sign(*args):
+            calls.append(args)
+            return exact_sign(*args)
+
+        def no_certificate(diffs, delta):
+            values, bound = float_difference(diffs, delta)
+            return values, np.full_like(bound, np.inf)
+
+        monkeypatch.setattr(simulation, "dc_difference_sign", counting_sign)
+        shipped = run_trial(path, uniform_grid(99), p=1.0)
+        certified_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(simulation, "dc_difference_float", no_certificate)
+        forced = run_trial(path, uniform_grid(99), p=1.0)
+        assert shipped == forced
+        assert len(calls) > 1000
+        assert certified_calls <= 0.01 * len(calls)
+
+
 class TestWorkerPool:
     def test_pool_never_larger_than_the_trial_count(self, monkeypatch):
         sizes = []
