@@ -36,7 +36,7 @@ from .ordering import (
     lex_compare_cvec,
     maximizer_sets,
 )
-from .simulation import SimulationConfig, run_experiment
+from .simulation import AllTrialsFailedError, SimulationConfig, run_experiment
 from .verification import MIN_CHECK_NODES, run_all_checks
 
 EXIT_OK = 0
@@ -248,6 +248,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_check(args) -> int:
     if args.n_max < MIN_CHECK_NODES:
         raise UsageError(f"check needs --n-max >= {MIN_CHECK_NODES}, got {args.n_max}")
+    if args.graphs < 1:
+        raise UsageError(f"check needs --graphs >= 1, got {args.graphs}")
     results = run_all_checks(n_max=args.n_max, graphs=args.graphs, seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (GraphParseError, DisconnectedGraphError, RejectionLimitError,
-            ValueError, OSError) as exc:
+            AllTrialsFailedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -3,17 +3,22 @@
 Nodes are contiguous integers ``0..n-1``; external labels belong at the
 I/O boundary.  Graphs are immutable after construction and safe to share
 across workers.  A node's distance profile is one integer row of
-:func:`profile_matrix`.
+:func:`profile_matrix`, counted from the all-sources BFS of
+:func:`distance_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+
+#: Levels the bitset BFS of :func:`distance_matrix` sweeps before it hands
+#: the graph to scipy's Dijkstra (the measured crossover is in its
+#: docstring).  It also bounds the level counts, which are kept in uint8.
+LEVEL_CUTOFF = 32
 
 
 class DisconnectedGraphError(ValueError):
@@ -83,20 +88,88 @@ def _finish_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs geodesic distances as an ``(n, n)`` int array.
 
-    Runs one BFS per node through scipy's compiled shortest-path kernel;
-    cross-checked against Floyd-Warshall by the test suite and by
+    A level-synchronous BFS from every source at once on packed bitsets
+    (Then et al., "The More the Merrier", VLDB 2014).  ``ball_l[i]`` is the
+    set of nodes within distance ``l`` of node ``i``, held as ``ceil(n/64)``
+    little-endian ``'<u8'`` words: node ``j`` is bit ``j % 64`` of word
+    ``j // 64``, so a row's bytes unpack with ``bitorder="little"`` into
+    nodes ``0..n-1``.  The recurrence is
+
+        ball_0[i] = {i},    ball_{l+1}[i] = ball_l[i] | OR_{k ~ i} ball_l[k],
+
+    one ``take`` of the neighbours' rows and one ``bitwise_or.reduceat``
+    over the CSR row starts per level.  At the first level ``D`` where every
+    ball is full, ``d(i, j) = D - #{l < D : j in ball_l[i]}``; a level that
+    adds no bit before that means the graph is disconnected.
+
+    The sweep costs O(D * (n + 2m) * ceil(n/64)) word operations, far below
+    n heap-based single-source runs when the diameter ``D`` is small, and
+    far above them on long paths.  So a graph whose balls are not all full
+    after :data:`LEVEL_CUTOFF` = 32 levels goes to scipy's unweighted
+    Dijkstra.  Measured on 2 cores at n=200, one level costs about 1/70 of
+    a scipy all-pairs run on the path P_200 (0.027 against 1.9 ms) and
+    about 1/100 on a G(200, .03) sample.  So every diameter up to the
+    cut-off is cheaper by the sweep, and a longer one pays about half a
+    Dijkstra run extra for the levels it tried.
+
+    Cross-checked against Floyd-Warshall by the test suite and by
     ``decaycent check``.
     """
     n = g.n
     if n == 1:
         return np.zeros((1, 1), dtype=np.int64)
-    m = len(g.edges)
-    if m == 0:
+    if not g.edges:
         raise DisconnectedGraphError("graph is disconnected (no edges)")
+    dist = _bitset_bfs(g)
+    return _dijkstra_distances(g) if dist is None else dist
+
+
+def _bitset_bfs(g: Graph) -> np.ndarray | None:
+    """The sweep of :func:`distance_matrix`, or ``None`` when it has not
+    finished after :data:`LEVEL_CUTOFF` levels."""
+    n = g.n
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
+    # reduceat needs every neighbour list non-empty
+    if not deg.all():
+        raise DisconnectedGraphError("graph is disconnected (unreachable pairs)")
+    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(deg.sum()))
+    starts = np.cumsum(deg) - deg
+    nodes = np.arange(n)
+    words = (n + 63) // 64
+    ball = np.zeros((n, words), dtype="<u8")
+    ball[nodes, nodes // 64] = np.uint64(1) << (nodes % 64).astype(np.uint64)
+    full = np.full(words, np.iinfo(np.uint64).max, dtype="<u8")
+    full[-1] >>= np.uint64(64 * words - n)
+    balls = [ball]
+    for level in range(1, LEVEL_CUTOFF + 1):
+        grown = np.bitwise_or.reduceat(np.take(ball, nbr, axis=0), starts, axis=0)
+        grown |= ball
+        if (grown == full).all():
+            reached = np.zeros((n, n), dtype=np.uint8)
+            for b in balls:
+                reached += np.unpackbits(b.view(np.uint8), axis=1, count=n, bitorder="little")
+            dist = np.full((n, n), level, dtype=np.int64)
+            dist -= reached
+            return dist
+        if (grown == ball).all():
+            raise DisconnectedGraphError("graph is disconnected (unreachable pairs)")
+        ball = grown
+        balls.append(ball)
+    return None
+
+
+def _dijkstra_distances(g: Graph) -> np.ndarray:
+    """scipy's unweighted Dijkstra from every source, for graphs whose
+    diameter exceeds :data:`LEVEL_CUTOFF`.  scipy is imported here only, so
+    importing the package does not load it."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    n = g.n
     e = np.asarray(g.edges, dtype=np.int64)
     rows = np.concatenate([e[:, 0], e[:, 1]])
     cols = np.concatenate([e[:, 1], e[:, 0]])
-    data = np.ones(2 * m, dtype=np.int8)
+    data = np.ones(2 * len(e), dtype=np.int8)
     adj = csr_matrix((data, (rows, cols)), shape=(n, n))
     dist = shortest_path(adj, method="D", directed=False, unweighted=True)
     if np.isinf(dist).any():

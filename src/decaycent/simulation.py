@@ -52,6 +52,12 @@ from .ordering import (
 )
 
 
+class AllTrialsFailedError(RuntimeError):
+    """Raised by :func:`run_experiment` when every trial exhausted its
+    rejection budget.  ``records.csv`` is then left holding its header row
+    only; ``aggregate.csv`` and ``summary.json`` are not written."""
+
+
 @lru_cache(maxsize=8)
 def uniform_grid(points: int = 99) -> DeltaGrid:
     return DeltaGrid.uniform(points)
@@ -374,6 +380,8 @@ class SimulationConfig:
             raise ValueError("need at least one trial")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        if self.max_rejects < 0:
+            raise ValueError(f"max_rejects must be non-negative, got {self.max_rejects}")
 
     def grid(self) -> DeltaGrid:
         return uniform_grid(self.grid_points)
@@ -527,7 +535,8 @@ class ExperimentResult:
 def run_experiment(config: SimulationConfig, out_dir: str | Path) -> ExperimentResult:
     """Run the batch, streaming records to disk, then write the aggregate
     and summary.  Identical configs produce byte-identical CSV files at any
-    worker count."""
+    worker count.  Raises :class:`AllTrialsFailedError` when no trial
+    succeeded."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = config.grid()
@@ -548,9 +557,11 @@ def run_experiment(config: SimulationConfig, out_dir: str | Path) -> ExperimentR
             writer.writerows(_record_rows(rec, grid))
 
     if not records:
-        raise RuntimeError(
-            f"all {config.trials} generations failed at max_rejects="
-            f"{config.max_rejects}; raise the budget or the link probability"
+        raise AllTrialsFailedError(
+            f"all {config.trials} trials found no connected G({config.n}, "
+            f"{config.p}) sample within max_rejects={config.max_rejects}; raise "
+            f"the budget or the link probability ({records_path} holds only "
+            "its header)"
         )
 
     agg = aggregate(records, grid)

@@ -420,9 +420,13 @@ def check_dominance_partial_order(
 def run_all_checks(
     n_max: int = 12, graphs: int = 200, seed: int = 0
 ) -> list[PropertyResult]:
-    """Run every property suite on one deterministic batch of graphs."""
-    if graphs <= 0:
-        return []
+    """Run every property suite on one deterministic batch of graphs.
+
+    Raises ``ValueError`` when ``graphs`` is below 1: an empty batch would
+    pass every property without checking one.
+    """
+    if graphs < 1:
+        raise ValueError(f"graphs must be at least 1, got {graphs}")
     batch = sample_graphs(graphs, n_max=n_max, seed=seed)
     small = batch[: max(1, len(batch) // 4)]
     return [

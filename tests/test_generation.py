@@ -18,7 +18,7 @@ from decaycent.graph import distance_matrix
 
 
 def assert_connected(g):
-    # distance_matrix (scipy) raises DisconnectedGraphError on a
+    # distance_matrix (bitset BFS) raises DisconnectedGraphError on a
     # disconnected graph; the union-find under test is not used here
     assert distance_matrix(g).max() < g.n
 

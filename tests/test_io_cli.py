@@ -1,9 +1,14 @@
 """Graph file formats, report serialization, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import decaycent
 from decaycent import build_graph
 from decaycent.cli import main
 from decaycent.io import (
@@ -206,7 +211,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--p", "1.5"), ("--seed", "-1"), ("--grid-points", "0"), ("--n", "1")],
+        [("--p", "1.5"), ("--seed", "-1"), ("--grid-points", "0"), ("--n", "1"),
+         ("--max-rejects", "-1")],
     )
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, flag, value):
         out = tmp_path / "sim"
@@ -218,14 +224,26 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_all_trials_failing_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--n", "50", "--p", "0.01", "--trials", "2", "--seed", "1",
+                "--max-rejects", "5", "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: all 2 trials")
+        assert "Traceback" not in err
+        # what is left on disk: the records header, nothing else
+        assert [f.name for f in out.iterdir()] == ["records.csv"]
+        assert len((out / "records.csv").read_text().splitlines()) == 1
+
 
 class TestCheckCommand:
-    def test_zero_graphs_empty_report_success(self, tmp_path, capsys):
+    @pytest.mark.parametrize("graphs", ["0", "-5"])
+    def test_graphs_below_one_is_usage_error(self, tmp_path, capsys, graphs):
         out = tmp_path / "check.json"
-        code = main(["check", "--graphs", "0", "--out", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["properties"] == []
+        assert main(["check", "--graphs", graphs, "--out", str(out)]) == 1
+        assert "--graphs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_small_run_passes(self, capsys):
         code = main(["check", "--graphs", "12", "--n-max", "8", "--seed", "2"])
@@ -246,3 +264,25 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
+
+
+class TestStartup:
+    def test_scipy_stays_unloaded(self):
+        """Neither importing the CLI nor a trial on a small-diameter graph
+        loads scipy, which is only the long-diameter distance fallback."""
+        code = (
+            "import sys\n"
+            "import decaycent.cli\n"
+            "assert 'scipy' not in sys.modules, 'loaded by the import'\n"
+            "from decaycent import TrialSeed, sample_connected_gnp\n"
+            "from decaycent.simulation import run_trial, uniform_grid\n"
+            "g, _ = sample_connected_gnp(200, 0.03, TrialSeed(1, 0), 10**6)\n"
+            "run_trial(g, uniform_grid(99))\n"
+            "assert 'scipy' not in sys.modules, 'loaded by run_trial'\n"
+        )
+        src = str(Path(decaycent.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -22,8 +22,10 @@ def test_all_properties_pass_on_default_batch():
         assert res.cases > 0
 
 
-def test_zero_graphs_gives_empty_report():
-    assert run_all_checks(graphs=0) == []
+@pytest.mark.parametrize("graphs", [0, -5])
+def test_graphs_below_one_rejected(graphs):
+    with pytest.raises(ValueError, match="graphs"):
+        run_all_checks(graphs=graphs)
 
 
 def test_mutated_comparator_is_caught_with_counterexample():
