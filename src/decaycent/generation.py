@@ -87,7 +87,13 @@ def validate_np(n: int, p: float) -> None:
 
 
 def pairs_connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
-    """Union-find connectivity over an edge list given as endpoint arrays."""
+    """Whether the edges ``(us[k], vs[k])`` connect all ``n`` nodes.
+
+    A sweep from node 0: each round marks the ``vs`` ends of edges whose
+    ``us`` end is reached, then the ``us`` ends of edges whose ``vs`` end
+    is reached.  A round that marks nothing new leaves the reached set
+    closed under the edges, so it is node 0's component.
+    """
     if len(us) < n - 1:
         return False
     # cheap kill: any isolated node rules connectivity out
@@ -96,23 +102,17 @@ def pairs_connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
     touched[vs] = True
     if not touched.all():
         return False
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for a, b in zip(us.tolist(), vs.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-            if comps == 1:
-                return True
-    return comps == 1
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    count = 1
+    while count < n:
+        reached[vs[reached[us]]] = True
+        reached[us[reached[vs]]] = True
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            return False
+        count = grown
+    return True
 
 
 def _draw_edges(
@@ -129,12 +129,7 @@ def sample_gnp(n: int, p: float, seed: TrialSeed) -> Graph:
     validate_np(n, p)
     rng = seed.stream(0)
     m_all = n * (n - 1) // 2
-    k = int(rng.binomial(m_all, p))
-    if k == 0:
-        return graph_from_pair_arrays(
-            n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-    us, vs = _draw_edges(rng, n, k)
+    us, vs = _draw_edges(rng, n, int(rng.binomial(m_all, p)))
     return graph_from_pair_arrays(n, us, vs)
 
 

@@ -1,8 +1,9 @@
-"""Undirected simple graphs and geodesic distance profiles.
+"""Undirected simple graphs as read-only CSR arrays, and geodesic
+distance profiles.
 
 Nodes are contiguous integers ``0..n-1``; external labels belong at the
-I/O boundary.  Graphs are immutable after construction and safe to share
-across workers.  A node's distance profile is one integer row of
+I/O boundary.  Graphs cannot be written after construction and are safe to
+share across workers.  A node's distance profile is one integer row of
 :func:`profile_matrix`, counted from the all-sources BFS of
 :func:`distance_matrix`.
 """
@@ -10,7 +11,6 @@ across workers.  A node's distance profile is one integer row of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,26 +25,36 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation needs finite geodesic distances everywhere."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected simple graph.
+    """Undirected simple graph as a compressed sparse row adjacency.
 
-    ``edges`` holds each edge once as ``(u, v)`` with ``u < v``, sorted;
-    ``adjacency[i]`` is the ascending tuple of ``i``'s neighbors, so
-    ``j in adjacency[i]`` iff ``i in adjacency[j]`` and iteration order is
-    deterministic.
+    Node ``i``'s neighbours are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, and each edge is stored once in each direction, so
+    iteration order is deterministic.  Both arrays are set read-only here:
+    writing to them raises ``ValueError``.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+    @property
+    def edges(self) -> np.ndarray:
+        """Each edge once as a row ``(u, v)`` with ``u < v``, sorted; a
+        read-only ``(num_edges, 2)`` int array."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        out = np.column_stack((rows, self.indices))[rows < self.indices]
+        out.flags.writeable = False
+        return out
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -64,25 +74,20 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) is not allowed")
         seen.add((u, v) if u < v else (v, u))
-    return _finish_graph(n, sorted(seen))
+    pairs = np.array(list(seen), dtype=np.int64).reshape(-1, 2)
+    return graph_from_pair_arrays(n, pairs[:, 0], pairs[:, 1])
 
 
 def graph_from_pair_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
-    """Fast constructor for pre-validated, duplicate-free edge endpoint arrays."""
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    order = np.lexsort((hi, lo))
-    pairs = list(zip(lo[order].tolist(), hi[order].tolist()))
-    return _finish_graph(n, pairs)
-
-
-def _finish_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    adjacency = tuple(tuple(sorted(nb)) for nb in neighbors)
-    return Graph(n=n, edges=tuple(pairs), adjacency=adjacency)
+    """The graph of the edges ``(us[k], vs[k])``: in range, no self-loops,
+    no duplicate unordered pairs.  Each edge gives the keys ``row * n + col``
+    of both directions, and one sort of the keys orders the CSR."""
+    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    keys = np.concatenate((us * n + vs, vs * n + us))
+    keys.sort()
+    rows, indices = np.divmod(keys, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return Graph(n=n, indptr=indptr, indices=indices)
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -118,7 +123,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     n = g.n
     if n == 1:
         return np.zeros((1, 1), dtype=np.int64)
-    if not g.edges:
+    if g.num_edges == 0:
         raise DisconnectedGraphError("graph is disconnected (no edges)")
     dist = _bitset_bfs(g)
     return _dijkstra_distances(g) if dist is None else dist
@@ -128,12 +133,9 @@ def _bitset_bfs(g: Graph) -> np.ndarray | None:
     """The sweep of :func:`distance_matrix`, or ``None`` when it has not
     finished after :data:`LEVEL_CUTOFF` levels."""
     n = g.n
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=n)
     # reduceat needs every neighbour list non-empty
-    if not deg.all():
+    if not np.diff(g.indptr).all():
         raise DisconnectedGraphError("graph is disconnected (unreachable pairs)")
-    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(deg.sum()))
-    starts = np.cumsum(deg) - deg
     nodes = np.arange(n)
     words = (n + 63) // 64
     ball = np.zeros((n, words), dtype="<u8")
@@ -142,7 +144,7 @@ def _bitset_bfs(g: Graph) -> np.ndarray | None:
     full[-1] >>= np.uint64(64 * words - n)
     balls = [ball]
     for level in range(1, LEVEL_CUTOFF + 1):
-        grown = np.bitwise_or.reduceat(np.take(ball, nbr, axis=0), starts, axis=0)
+        grown = np.bitwise_or.reduceat(np.take(ball, g.indices, axis=0), g.indptr[:-1], axis=0)
         grown |= ball
         if (grown == full).all():
             reached = np.zeros((n, n), dtype=np.uint8)
@@ -165,12 +167,8 @@ def _dijkstra_distances(g: Graph) -> np.ndarray:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    n = g.n
-    e = np.asarray(g.edges, dtype=np.int64)
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    data = np.ones(2 * len(e), dtype=np.int8)
-    adj = csr_matrix((data, (rows, cols)), shape=(n, n))
+    data = np.ones(len(g.indices), dtype=np.int8)
+    adj = csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
     dist = shortest_path(adj, method="D", directed=False, unweighted=True)
     if np.isinf(dist).any():
         raise DisconnectedGraphError("graph is disconnected (unreachable pairs)")

@@ -80,12 +80,12 @@ def parse_edgelist(text: str, name: str = "<edgelist>") -> Graph:
 
 def edgelist_text(g: Graph) -> str:
     lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json_dict(g: Graph) -> dict[str, Any]:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
+    return {"n": g.n, "edges": g.edges.tolist()}
 
 
 def graph_from_json_dict(data: Any, name: str = "<json>") -> Graph:

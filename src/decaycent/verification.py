@@ -114,7 +114,7 @@ def naive_decay(dist_row: Sequence[float], node: int, delta: float) -> float:
 
 
 def _edge_dump(g: Graph) -> list[list[int]]:
-    return [[u, v] for u, v in g.edges]
+    return g.edges.tolist()
 
 
 def check_bfs_distances(graphs: Sequence[Graph]) -> PropertyResult:

@@ -17,6 +17,21 @@ from decaycent.generation import pairs_connected
 from decaycent.graph import distance_matrix
 
 
+def dfs_connected(n, edges):
+    """Connectivity by depth-first search over Python adjacency sets; the
+    oracle for the sampler's own check."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in nbrs[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == n
+
+
 def assert_connected(g):
     # distance_matrix (bitset BFS) raises DisconnectedGraphError on a
     # disconnected graph; the union-find under test is not used here
@@ -45,12 +60,12 @@ class TestSampleGnp:
     def test_p_one_gives_complete_graph(self):
         g = sample_gnp(6, 1.0, TrialSeed(1, 0))
         assert g.num_edges == 15
-        assert set(g.edges) == set(combinations(range(6), 2))
+        assert g.edges.tolist() == [list(e) for e in combinations(range(6), 2)]
 
     def test_determinism(self):
         g1 = sample_gnp(12, 0.3, TrialSeed(5, 9))
         g2 = sample_gnp(12, 0.3, TrialSeed(5, 9))
-        assert g1.edges == g2.edges
+        assert g1.edges.tolist() == g2.edges.tolist()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -79,7 +94,7 @@ class TestSampleConnectedGnp:
     def test_determinism_graph_and_reject_count(self):
         a, ra = sample_connected_gnp(10, 0.15, TrialSeed(3, 4))
         b, rb = sample_connected_gnp(10, 0.15, TrialSeed(3, 4))
-        assert a.edges == b.edges
+        assert a.edges.tolist() == b.edges.tolist()
         assert ra == rb
         assert_connected(a)
 
@@ -108,11 +123,11 @@ class TestSampleConnectedGnp:
     def test_order_independence(self):
         indices = [5, 1, 3, 0, 2, 4]
         by_shuffled = {
-            i: sample_connected_gnp(9, 0.25, TrialSeed(6, i))[0].edges
+            i: sample_connected_gnp(9, 0.25, TrialSeed(6, i))[0].edges.tolist()
             for i in indices
         }
         by_order = {
-            i: sample_connected_gnp(9, 0.25, TrialSeed(6, i))[0].edges
+            i: sample_connected_gnp(9, 0.25, TrialSeed(6, i))[0].edges.tolist()
             for i in sorted(indices)
         }
         assert by_shuffled == by_order
@@ -132,11 +147,21 @@ class TestPairsConnected:
         vs = np.array([1, 0])
         assert not pairs_connected(3, us, vs)
 
+    def test_every_graph_on_six_nodes(self):
+        # covers the graphs with no isolated node that still fall apart
+        pairs = list(combinations(range(6), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+            arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            for us, vs in ((arr[:, 0], arr[:, 1]), (arr[::-1, 1], arr[::-1, 0])):
+                assert pairs_connected(6, us, vs) == dfs_connected(6, edges), edges
+
 
 @pytest.fixture(scope="session")
 def conditional_edge_count_pmf():
     """Exact edge-count distribution of G(6, 0.4) given connectivity, by
-    enumerating all 2**15 graphs."""
+    enumerating all 2**15 graphs; connectivity comes from the DFS oracle,
+    not from the sampler's check."""
     n, p = 6, 0.4
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
@@ -145,9 +170,7 @@ def conditional_edge_count_pmf():
         edges = [pairs[b] for b in range(m) if mask >> b & 1]
         if len(edges) < n - 1:
             continue
-        us = np.array([e[0] for e in edges])
-        vs = np.array([e[1] for e in edges])
-        if pairs_connected(n, us, vs):
+        if dfs_connected(n, edges):
             k = len(edges)
             weights[k] += p**k * (1 - p) ** (m - k)
     return weights / weights.sum()

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaycent import (
     DisconnectedGraphError,
@@ -13,7 +15,12 @@ from decaycent import (
     sample_connected_gnp,
     TrialSeed,
 )
-from decaycent.graph import LEVEL_CUTOFF, _bitset_bfs, distance_matrix
+from decaycent.graph import (
+    LEVEL_CUTOFF,
+    _bitset_bfs,
+    distance_matrix,
+    graph_from_pair_arrays,
+)
 
 from conftest import oracle_distances, oracle_profile
 
@@ -69,18 +76,21 @@ DISCONNECTED = [
 ]
 
 
+def neighbours(g, i):
+    return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+
+
 class TestBuildGraph:
     def test_path_degrees(self, p3):
-        assert [p3.degree(i) for i in range(3)] == [1, 2, 1]
-        assert p3.edges == ((0, 1), (1, 2))
+        assert np.diff(p3.indptr).tolist() == [1, 2, 1]
+        assert p3.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_star_center_degree(self, star4):
-        assert star4.degree(0) == 3
-        assert all(star4.degree(i) == 1 for i in (1, 2, 3))
+        assert np.diff(star4.indptr).tolist() == [3, 1, 1, 1]
 
     def test_duplicate_edges_collapse(self):
         g = build_graph(3, [(0, 1), (1, 0), (1, 2)])
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -95,10 +105,40 @@ class TestBuildGraph:
     def test_neighbor_lists_sorted_and_symmetric(self):
         g = build_graph(5, [(3, 1), (4, 0), (2, 0), (1, 0)])
         for i in range(5):
-            nbrs = g.adjacency[i]
-            assert list(nbrs) == sorted(nbrs)
+            nbrs = neighbours(g, i)
+            assert nbrs == sorted(nbrs)
             for j in nbrs:
-                assert i in g.adjacency[j]
+                assert i in neighbours(g, j)
+
+    @given(n=st.integers(2, 12), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_build_graph_equals_pair_arrays(self, n, data):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        kept = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        oriented = [e[::-1] if data.draw(st.booleans()) else e for e in kept]
+        dups = [e[::-1] for e in oriented[::2]] + oriented[1::3]
+        listed = data.draw(st.permutations(oriented + dups))
+        a = build_graph(n, listed)
+        us, vs = np.array(oriented, dtype=np.int64).reshape(-1, 2).T
+        b = graph_from_pair_arrays(n, us, vs)
+        assert a.indptr.tolist() == b.indptr.tolist()
+        assert a.indices.tolist() == b.indices.tolist()
+        assert a.edges.tolist() == b.edges.tolist() == sorted(map(list, kept))
+        for i in range(n):
+            assert neighbours(a, i) == sorted(u + v - i for u, v in kept if i in (u, v))
+
+    def test_arrays_are_read_only(self, p3):
+        for arr in (p3.indptr, p3.indices, p3.edges):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_single_node_and_edgeless(self):
+        one = build_graph(1, [])
+        assert one.num_edges == 0 and one.edges.shape == (0, 2)
+        assert distance_matrix(one).tolist() == [[0]]
+        assert profile_matrix(one).shape == (1, 0)
+        with pytest.raises(DisconnectedGraphError, match=r"disconnected \(no edges\)"):
+            profile_matrix(build_graph(3, []))
 
 
 class TestProfileRows:
@@ -152,4 +192,4 @@ class TestAgainstOracle:
         g, _ = sample_connected_gnp(40, 0.15, TrialSeed(100, 0), max_rejects=10**6)
         mat = profile_matrix(g)
         assert (mat.sum(axis=1) == g.n - 1).all()
-        assert (mat[:, 0] == np.array([g.degree(i) for i in range(g.n)])).all()
+        assert (mat[:, 0] == np.diff(g.indptr)).all()

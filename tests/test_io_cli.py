@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 import decaycent
-from decaycent import build_graph
+from decaycent import TrialSeed, build_graph, sample_connected_gnp
 from decaycent.cli import main
 from decaycent.io import (
     GraphParseError,
     edgelist_text,
+    graph_from_json_dict,
     graph_to_json_dict,
     parse_edgelist,
     read_graph,
@@ -28,11 +29,11 @@ class TestEdgelistFormat:
     def test_parse_p3(self):
         g = parse_edgelist(P3_TEXT)
         assert g.n == 3
-        assert g.edges == ((0, 1), (1, 2))
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_round_trip_identity(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
-        assert parse_edgelist(edgelist_text(g)).edges == g.edges
+        assert parse_edgelist(edgelist_text(g)).edges.tolist() == g.edges.tolist()
         assert edgelist_text(parse_edgelist(edgelist_text(g))) == edgelist_text(g)
 
     def test_malformed_line_names_line_number(self):
@@ -57,16 +58,22 @@ class TestJsonFormat:
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         path = tmp_path / "g.json"
         write_graph_json(g, path)
-        assert read_graph(path).edges == g.edges
+        assert read_graph(path).edges.tolist() == g.edges.tolist()
+
+    def test_json_dumps_round_trip(self):
+        g, _ = sample_connected_gnp(12, 0.3, TrialSeed(5, 0))
+        back = graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(g))))
+        assert back.n == g.n
+        assert back.edges.tolist() == g.edges.tolist()
 
     def test_auto_detection(self, tmp_path):
         g = build_graph(3, [(0, 1), (1, 2)])
         as_json = tmp_path / "graph_without_extension"
         as_json.write_text(json.dumps(graph_to_json_dict(g)))
-        assert read_graph(as_json).edges == g.edges
+        assert read_graph(as_json).edges.tolist() == g.edges.tolist()
         as_edges = tmp_path / "graph.txt"
         write_edgelist(g, as_edges)
-        assert read_graph(as_edges).edges == g.edges
+        assert read_graph(as_edges).edges.tolist() == g.edges.tolist()
 
     def test_bad_json_payload(self, tmp_path):
         path = tmp_path / "bad.json"

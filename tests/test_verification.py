@@ -49,7 +49,7 @@ def test_mutated_comparator_is_caught_with_counterexample():
 def test_sample_graphs_deterministic():
     a = sample_graphs(6, n_max=8, seed=9)
     b = sample_graphs(6, n_max=8, seed=9)
-    assert [g.edges for g in a] == [g.edges for g in b]
+    assert [g.edges.tolist() for g in a] == [g.edges.tolist() for g in b]
     assert all(2 <= g.n <= 8 for g in a)
 
 
