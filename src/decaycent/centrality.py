@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -51,9 +51,11 @@ class DeltaGrid:
             prev = v
 
     @classmethod
+    @lru_cache(maxsize=8)
     def uniform(cls, points: int = 99) -> "DeltaGrid":
         """``points`` evenly spaced values ``i / (points + 1)``; the default
-        99-point grid is ``0.01, 0.02, ..., 0.99``."""
+        99-point grid is ``0.01, 0.02, ..., 0.99``.  Cached, so every trial
+        of a batch shares one grid and its :meth:`fractions`."""
         if points < 1:
             raise ValueError("grid needs at least one point")
         return cls(tuple(i / (points + 1) for i in range(1, points + 1)))
@@ -229,9 +231,11 @@ def centrality_table(g: Graph) -> CentralityTable:
 
 
 def dc_difference_coeffs(
-    ci: Sequence[int], cj: Sequence[int]
+    ci: Sequence[int], cj: Sequence[int], fi: Sequence[int], fj: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-level profile differences and farness-vector differences.
+    """Per-level profile differences and farness-vector differences of two
+    nodes, from their profiles ``ci``, ``cj`` and signed farness vectors
+    ``fi``, ``fj`` (:func:`fvec_from_counts`, which callers already hold).
 
     Both vectors sum to zero exactly on profiles drawn from one connected
     graph (profile counts each total ``n - 1``, and the alternating
@@ -245,8 +249,6 @@ def dc_difference_coeffs(
             "profiles do not come from the same connected graph (level counts "
             f"sum to {sum(ci)} vs {sum(cj)})"
         )
-    fi = fvec_from_counts(ci)
-    fj = fvec_from_counts(cj)
     bvec = tuple(a - b for a, b in zip(fi, fj))
     return avec, bvec
 

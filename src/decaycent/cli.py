@@ -22,7 +22,6 @@ from .io import (
     GraphParseError,
     centrality_csv,
     centrality_payload,
-    fmt_float,
     jsonable,
     read_graph,
     with_envelope,
@@ -97,19 +96,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
 _SIM_KEYS = {
     "n": int,
     "p": float,
@@ -122,14 +108,33 @@ _SIM_KEYS = {
 }
 
 
+def _load_config_file(path: str) -> dict:
+    """Typed settings of a ``key = value`` file.  A malformed line, an
+    unknown key or a value of the wrong type is a usage error naming
+    ``path:line``, as the same mistake in a flag is."""
+    out: dict = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in _SIM_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = _SIM_KEYS[key]
+        try:
+            out[key] = kind(value)
+        except ValueError:
+            raise UsageError(
+                f"{path}:{lineno}: {key}: invalid {kind.__name__} value: {value!r}"
+            ) from None
+    return out
+
+
 def _resolve_sim_settings(args) -> tuple[SimulationConfig, str]:
-    settings: dict = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _SIM_KEYS:
-                raise UsageError(f"unknown config key {key!r}")
-            settings[key] = _SIM_KEYS[key](value)
+    settings = _load_config_file(args.config) if args.config else {}
     for key in _SIM_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -176,7 +181,7 @@ def _cmd_compute(args) -> int:
              "grid_points": args.grid_points, "full": bool(args.full)},
             payload,
         )
-        Path(args.json_out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.json_out).write_text(report)
     return EXIT_OK
 
 
@@ -192,7 +197,7 @@ def _cmd_compare(args) -> int:
     table = _connected_table(g, args.graph)
     pi, pj = table.counts[i].tolist(), table.counts[j].tolist()
     fi, fj = table.fvec(i), table.fvec(j)
-    avec, bvec = dc_difference_coeffs(pi, pj)
+    avec, bvec = dc_difference_coeffs(pi, pj, fi, fj)
     dc = decay_matrix(table.counts[[i, j]], grid)
     curve = (dc[0] - dc[1]).tolist()
     low = check_low_delta_conditions(pi, pj)
@@ -224,11 +229,10 @@ def _cmd_compare(args) -> int:
          "grid_points": args.grid_points},
         payload,
     )
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report)
     return EXIT_OK
 
 
@@ -267,7 +271,7 @@ def _cmd_check(args) -> int:
                 for r in results
             ]},
         )
-        Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(report)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
 
 

@@ -123,16 +123,6 @@ def _draw_edges(
     return iu[sel], ju[sel]
 
 
-def sample_gnp(n: int, p: float, seed: TrialSeed) -> Graph:
-    """One G(n, p) draw: each unordered pair independently with probability
-    ``p``, deterministic in the seed."""
-    validate_np(n, p)
-    rng = seed.stream(0)
-    m_all = n * (n - 1) // 2
-    us, vs = _draw_edges(rng, n, int(rng.binomial(m_all, p)))
-    return graph_from_pair_arrays(n, us, vs)
-
-
 def sample_connected_gnp(
     n: int,
     p: float,

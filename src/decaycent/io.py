@@ -6,8 +6,8 @@ Two graph formats:
   0-based whitespace-separated endpoints;
 * JSON: ``{"n": int, "edges": [[u, v], ...]}``.
 
-Reports are plain dicts ready for ``json.dumps``; every top-level artifact
-carries the config echo, version string, and conventions block.
+Every JSON report is written through :func:`with_envelope`, which adds
+the config echo, version string, and conventions block.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -92,7 +93,14 @@ def graph_from_json_dict(data: Any, name: str = "<json>") -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphParseError(f"{name}: expected an object with 'n' and 'edges'")
     try:
-        return build_graph(int(data["n"]), [tuple(e) for e in data["edges"]])
+        edges = [tuple(e) for e in data["edges"]]
+        for value in (data["n"], *chain.from_iterable(edges)):
+            # int() would truncate 1.9 to 1, and a bool is an int subclass
+            if type(value) is not int:
+                raise TypeError(
+                    f"node count and endpoints must be JSON integers, got {value!r}"
+                )
+        return build_graph(data["n"], edges)
     except (TypeError, ValueError) as exc:
         raise GraphParseError(f"{name}: {exc}") from None
 
@@ -160,15 +168,16 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
-def with_envelope(config_echo: dict[str, Any], payload: dict[str, Any]) -> dict[str, Any]:
-    """Wrap a report payload with the standard metadata block."""
+def with_envelope(config_echo: dict[str, Any], payload: dict[str, Any]) -> str:
+    """JSON text of a report: the payload under the standard metadata block,
+    indented and key-sorted, with a final newline."""
     out = {
         "config": jsonable(config_echo),
         "version": version_string(),
         "conventions": conventions(),
     }
     out.update(jsonable(payload))
-    return out
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def centrality_csv(table: CentralityTable, grid: DeltaGrid) -> str:

@@ -15,12 +15,11 @@ number of workers yields byte-identical output files.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import multiprocessing
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -43,7 +42,7 @@ from .generation import (
     validate_np,
 )
 from .graph import Graph, profile_matrix
-from .meta import conventions, version_string
+from .io import fmt_float, with_envelope
 from .ordering import (
     _profile_group_ids,
     decay_argmax_sets,
@@ -56,11 +55,6 @@ class AllTrialsFailedError(RuntimeError):
     """Raised by :func:`run_experiment` when every trial exhausted its
     rejection budget.  ``records.csv`` is then left holding its header row
     only; ``aggregate.csv`` and ``summary.json`` are not written."""
-
-
-@lru_cache(maxsize=8)
-def uniform_grid(points: int = 99) -> DeltaGrid:
-    return DeltaGrid.uniform(points)
 
 
 @dataclass(frozen=True)
@@ -279,15 +273,6 @@ class AggregateStats:
     rank_deg_avg: RankStats
     rank_clos_avg: RankStats
 
-    def freq_subset_deg(self) -> np.ndarray:
-        return np.asarray(self.n_subset_deg) / self.trials
-
-    def freq_subset_clos(self) -> np.ndarray:
-        return np.asarray(self.n_subset_clos) / self.trials
-
-    def freq_disjoint(self) -> np.ndarray:
-        return np.asarray(self.n_disjoint) / self.trials
-
 
 def nearest_rank_percentile(sorted_vals: np.ndarray, q: float) -> np.ndarray:
     """Nearest-rank percentile per column of a pre-sorted sample matrix."""
@@ -384,7 +369,7 @@ class SimulationConfig:
             raise ValueError(f"max_rejects must be non-negative, got {self.max_rejects}")
 
     def grid(self) -> DeltaGrid:
-        return uniform_grid(self.grid_points)
+        return DeltaGrid.uniform(self.grid_points)
 
 
 def _run_single(config: SimulationConfig, trial_index: int):
@@ -424,22 +409,6 @@ def iter_trials(config: SimulationConfig) -> Iterator[tuple[int, TrialRecord | N
         )
 
 
-def run_trials(config: SimulationConfig) -> tuple[list[TrialRecord], list[int]]:
-    """All trial records plus the indices of failed generations."""
-    records: list[TrialRecord] = []
-    failed: list[int] = []
-    for ti, rec in iter_trials(config):
-        if rec is None:
-            failed.append(ti)
-        else:
-            records.append(rec)
-    return records, failed
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 RECORDS_HEADER = [
     "trial",
     "rejects",
@@ -470,7 +439,7 @@ def _record_rows(rec: TrialRecord, grid: DeltaGrid) -> Iterator[list[str]]:
             str(int(rec.intersects)),
             thr,
             clean,
-            _fmt(delta),
+            fmt_float(delta),
             str(int(rec.subset_deg[gi])),
             str(int(rec.subset_clos[gi])),
             str(int(rec.subset_core[gi])),
@@ -478,8 +447,8 @@ def _record_rows(rec: TrialRecord, grid: DeltaGrid) -> Iterator[list[str]]:
             str(rec.rank_deg_best[gi]),
             str(rec.rank_clos_best[gi]),
             str(rec.rank_rule[gi]),
-            _fmt(rec.rank_deg_avg[gi]),
-            _fmt(rec.rank_clos_avg[gi]),
+            fmt_float(rec.rank_deg_avg[gi]),
+            fmt_float(rec.rank_clos_avg[gi]),
             str(rec.rule_pick[gi]),
         ]
 
@@ -508,18 +477,18 @@ def _aggregate_rows(agg: AggregateStats) -> Iterator[list[str]]:
     )
     for gi, delta in enumerate(agg.grid.values):
         row = [
-            _fmt(delta),
+            fmt_float(delta),
             str(t),
-            _fmt(agg.n_subset_deg[gi] / t),
-            _fmt(agg.n_subset_clos[gi] / t),
-            _fmt(agg.n_disjoint[gi] / t),
+            fmt_float(agg.n_subset_deg[gi] / t),
+            fmt_float(agg.n_subset_clos[gi] / t),
+            fmt_float(agg.n_disjoint[gi] / t),
             str(nn),
-            _fmt(agg.n_subset_deg_nonint[gi] / nn) if nn else "",
-            _fmt(agg.n_subset_clos_nonint[gi] / nn) if nn else "",
-            _fmt(agg.n_disjoint_nonint[gi] / nn) if nn else "",
+            fmt_float(agg.n_subset_deg_nonint[gi] / nn) if nn else "",
+            fmt_float(agg.n_subset_clos_nonint[gi] / nn) if nn else "",
+            fmt_float(agg.n_disjoint_nonint[gi] / nn) if nn else "",
         ]
         for fam in families:
-            row.extend([_fmt(fam.mean[gi]), _fmt(fam.p5[gi]), _fmt(fam.p95[gi])])
+            row.extend(fmt_float(stat[gi]) for stat in (fam.mean, fam.p5, fam.p95))
         yield row
 
 
@@ -570,10 +539,7 @@ def run_experiment(config: SimulationConfig, out_dir: str | Path) -> ExperimentR
         writer.writerow(AGGREGATE_HEADER)
         writer.writerows(_aggregate_rows(agg))
 
-    summary = {
-        "config": asdict(config),
-        "version": version_string(),
-        "conventions": conventions(),
+    summary_path.write_text(with_envelope(asdict(config), {
         "results": {
             "trials_requested": config.trials,
             "trials_succeeded": agg.trials,
@@ -586,8 +552,7 @@ def run_experiment(config: SimulationConfig, out_dir: str | Path) -> ExperimentR
             "count_transition_clean": agg.count_transition_clean,
             "count_transition_violations": agg.count_transition_violations,
         },
-    }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    }))
     return ExperimentResult(
         aggregate=agg,
         failed_trials=tuple(failed),

@@ -162,11 +162,14 @@ def check_difference_factorizations(
     for g in graphs:
         dist = floyd_warshall(g)
         profiles = profile_matrix(g).tolist()
+        fvecs = [fvec_from_counts(row) for row in profiles]
         n = g.n
         for i in range(n):
             for j in range(i + 1, n):
                 res.cases += 1
-                avec, bvec = dc_difference_coeffs(profiles[i], profiles[j])
+                avec, bvec = dc_difference_coeffs(
+                    profiles[i], profiles[j], fvecs[i], fvecs[j]
+                )
                 if sum(avec) != 0 or sum(bvec) != 0:
                     res.record(
                         graph=_edge_dump(g), pair=[i, j],

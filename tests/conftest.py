@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from decaycent import Graph, build_graph
+from decaycent.graph import Graph, build_graph
 from decaycent.verification import floyd_warshall as oracle_distances
 from decaycent.verification import naive_decay
 

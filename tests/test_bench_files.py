@@ -1,9 +1,11 @@
 """Checked-in ``BENCH_*.json`` benchmark records carry what makes them
 comparable: the machine they ran on, both sides' medians and quartiles, and
-the claimed metric with its win count."""
+the claimed metric with its win count.  The benchmark tracer's lookup sites
+still exist in the package."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,11 +14,20 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
 
-def machine_keys() -> tuple[str, ...]:
-    spec = importlib.util.spec_from_file_location("compare", ROOT / "perfbench" / "compare.py")
+def load_bench_module(name: str):
+    """A ``perfbench`` module by file path (they import only the standard
+    library), registered so that its dataclasses can resolve it."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.MACHINE_KEYS
+    return module
+
+
+def machine_keys() -> tuple[str, ...]:
+    return load_bench_module("compare").MACHINE_KEYS
 
 
 def test_bench_files_exist():
@@ -37,3 +48,14 @@ def test_bench_file_keys(path):
             assert {"runs", "median", "q1", "q3"} <= set(row[side])
     assert any(row["workload"] == claim["workload"] and row["metric"] == claim["metric"]
                for row in rows)
+
+
+def test_tracer_lookup_sites_exist():
+    # the tracer swaps each attribute in its owner's namespace; a refactor
+    # that moves a function out of a module it is looked up through would
+    # leave that layer untraced (or fail only in a traced benchmark run)
+    tracing = load_bench_module("tracing")
+    sites = [(path, attr) for path, attr, _ in tracing.TARGETS] + list(tracing.COUNTED)
+    missing = [f"{path}.{attr}" for path, attr in sites
+               if attr not in vars(tracing._resolve(path))]
+    assert not missing

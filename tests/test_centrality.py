@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaycent import (
+from decaycent.centrality import (
     DeltaGrid,
-    TrialSeed,
-    build_graph,
     centrality_table,
+    cvec_from_fvec,
     dc_difference_coeffs,
     dc_difference_factored,
     dc_difference_factored_eps,
     dc_difference_sign,
     decay_centrality,
+    decay_error_bound,
     decay_matrix,
-    sample_connected_gnp,
+    fvec_from_counts,
 )
-from decaycent.centrality import cvec_from_fvec, decay_error_bound, fvec_from_counts
-from decaycent.graph import profile_matrix
+from decaycent.generation import TrialSeed, sample_connected_gnp
+from decaycent.graph import build_graph, profile_matrix
 from decaycent.verification import sample_graphs
 
 from conftest import oracle_decay
@@ -50,7 +50,8 @@ class TestDeltaGrid:
         fracs = grid.fractions()
         assert fracs == tuple(Fraction(v) for v in grid.values)
         assert grid.fractions() is fracs
-        assert grid == DeltaGrid.uniform(9)
+        # the constructor is cached: every caller shares one grid and its fractions
+        assert DeltaGrid.uniform(9) is grid
 
 
 class TestCentralityTable:
@@ -88,8 +89,6 @@ class TestCentralityTable:
                     assert value <= 0
 
     def test_single_node_rejected(self):
-        from decaycent import build_graph
-
         with pytest.raises(ValueError):
             centrality_table(build_graph(1, []))
 
@@ -109,8 +108,6 @@ class TestCentralityTable:
 
     def test_fvec_exact_beyond_machine_ints(self):
         # path on 80 nodes: binomials overflow 64-bit but stay exact
-        from decaycent import build_graph
-
         path = build_graph(80, [(i, i + 1) for i in range(79)])
         t = centrality_table(path)
         assert max(abs(v) for v in t.fvecs[0]) > 2**63
@@ -271,16 +268,20 @@ class TestDecayErrorBound:
         assert (decay_error_bound(dc, path) <= 1e-13 * dc).all()
 
 
+def coeffs(t, i, j):
+    return dc_difference_coeffs(t.counts[i], t.counts[j], t.fvec(i), t.fvec(j))
+
+
 class TestDifferenceCoeffs:
     def test_identical_profiles_all_zero(self, star4):
         t = centrality_table(star4)
-        avec, bvec = dc_difference_coeffs(t.counts[1], t.counts[2])
+        avec, bvec = coeffs(t, 1, 2)
         assert avec == (0, 0, 0)
         assert bvec == (0, 0, 0)
 
     def test_p3_hand_values(self, p3):
         t = centrality_table(p3)
-        avec, bvec = dc_difference_coeffs(t.counts[1], t.counts[0])
+        avec, bvec = coeffs(t, 1, 0)
         assert avec == (1, -1)
         assert bvec == (-1, 1)
 
@@ -290,13 +291,13 @@ class TestDifferenceCoeffs:
             t = centrality_table(g)
             for i in range(g.n):
                 for j in range(i + 1, g.n):
-                    avec, bvec = dc_difference_coeffs(t.counts[i], t.counts[j])
+                    avec, bvec = coeffs(t, i, j)
                     assert sum(avec) == 0
                     assert sum(bvec) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
-            dc_difference_coeffs((1, 1, 0), (2, 0))
+            dc_difference_coeffs((1, 1, 0), (2, 0), (2, -1, 0), (2, 0))
 
 
 class TestFactoredForms:
@@ -307,7 +308,7 @@ class TestFactoredForms:
 
     def test_p3_hand_value(self, p3):
         t = centrality_table(p3)
-        avec, bvec = dc_difference_coeffs(t.counts[1], t.counts[0])
+        avec, bvec = coeffs(t, 1, 0)
         assert dc_difference_factored(avec, 0.5) == pytest.approx(0.25)
         assert dc_difference_factored_eps(bvec, 0.5) == pytest.approx(0.25)
         direct = decay_centrality(t.counts[1], 0.5) - decay_centrality(t.counts[0], 0.5)
@@ -327,7 +328,7 @@ class TestFactoredForms:
             t = centrality_table(g)
             for i in range(n):
                 for j in range(i + 1, n):
-                    avec, bvec = dc_difference_coeffs(t.counts[i], t.counts[j])
+                    avec, bvec = coeffs(t, i, j)
                     for delta in grid.values:
                         direct = decay_centrality(t.counts[i], delta) - decay_centrality(
                             t.counts[j], delta

@@ -1,19 +1,17 @@
 """Seeded G(n,p) sampling: determinism, distribution, rejection behavior."""
 
-import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from decaycent import (
+from decaycent.generation import (
     RejectionLimitError,
     TrialSeed,
+    pairs_connected,
     sample_connected_gnp,
-    sample_gnp,
 )
-from decaycent.generation import pairs_connected
 from decaycent.graph import distance_matrix
 
 
@@ -56,40 +54,23 @@ class TestTrialSeed:
         assert (a == b).all()
 
 
-class TestSampleGnp:
-    def test_p_one_gives_complete_graph(self):
-        g = sample_gnp(6, 1.0, TrialSeed(1, 0))
-        assert g.num_edges == 15
-        assert g.edges.tolist() == [list(e) for e in combinations(range(6), 2)]
-
-    def test_determinism(self):
-        g1 = sample_gnp(12, 0.3, TrialSeed(5, 9))
-        g2 = sample_gnp(12, 0.3, TrialSeed(5, 9))
-        assert g1.edges.tolist() == g2.edges.tolist()
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            sample_gnp(1, 0.5, TrialSeed(0, 0))
-        with pytest.raises(ValueError):
-            sample_gnp(5, 0.0, TrialSeed(0, 0))
-        with pytest.raises(ValueError):
-            sample_gnp(5, 1.2, TrialSeed(0, 0))
-
-    def test_mean_edge_count_matches_binomial_expectation(self):
-        n, p, samples = 50, 0.1, 10_000
-        total = sum(
-            sample_gnp(n, p, TrialSeed(123, i)).num_edges for i in range(samples)
-        )
-        mean = total / samples
-        expected = math.comb(n, 2) * p  # 122.5
-        assert abs(mean - expected) / expected < 0.01
-
-
 class TestSampleConnectedGnp:
     def test_p_one_accepted_immediately(self):
         g, rejects = sample_connected_gnp(5, 1.0, TrialSeed(2, 0))
         assert rejects == 0
         assert g.num_edges == 10
+
+    def test_p_one_gives_complete_graph(self):
+        g, _ = sample_connected_gnp(6, 1.0, TrialSeed(1, 0))
+        assert g.edges.tolist() == [list(e) for e in combinations(range(6), 2)]
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            sample_connected_gnp(1, 0.5, TrialSeed(0, 0))
+        with pytest.raises(ValueError):
+            sample_connected_gnp(5, 0.0, TrialSeed(0, 0))
+        with pytest.raises(ValueError):
+            sample_connected_gnp(5, 1.2, TrialSeed(0, 0))
 
     def test_determinism_graph_and_reject_count(self):
         a, ra = sample_connected_gnp(10, 0.15, TrialSeed(3, 4))

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from decaycent import build_graph
+from decaycent.graph import build_graph
 from decaycent.cli import main
 from decaycent.io import write_edgelist
 

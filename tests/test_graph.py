@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaycent import (
-    DisconnectedGraphError,
-    build_graph,
-    profile_matrix,
-    sample_connected_gnp,
-    TrialSeed,
-)
+from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import (
     LEVEL_CUTOFF,
+    DisconnectedGraphError,
     _bitset_bfs,
+    build_graph,
     distance_matrix,
     graph_from_pair_arrays,
+    profile_matrix,
 )
 
 from conftest import oracle_distances, oracle_profile

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import decaycent
-from decaycent import TrialSeed, build_graph, sample_connected_gnp
+from decaycent import centrality
 from decaycent.cli import main
+from decaycent.generation import TrialSeed, sample_connected_gnp
+from decaycent.graph import build_graph
 from decaycent.io import (
     GraphParseError,
     edgelist_text,
@@ -122,6 +124,21 @@ class TestComputeCommand:
         assert report["nodes"][0]["fvec"][0] == 3
         assert "version" in report and "conventions" in report
 
+    @pytest.mark.parametrize(
+        "graph",
+        [{"n": 3, "edges": [[0, 1.9], [1, 2]]},
+         {"n": 3.7, "edges": [[0, 1], [1, 2]]},
+         {"n": 3, "edges": [[0, True], [1, 2]]},
+         {"n": True, "edges": []}],
+        ids=["float-endpoint", "float-n", "bool-endpoint", "bool-n"],
+    )
+    def test_non_integer_json_is_data_error(self, tmp_path, capsys, graph):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        assert main(["compute", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "JSON integers" in err
+
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("3 2\n0 1\na b\n")
@@ -160,6 +177,25 @@ class TestCompareCommand:
         assert report["difference_coeffs"]["bvec"] == [-1, 1]
         curve = report["dc_difference_curve"]["difference"]
         assert all(d > 0 for d in curve)
+
+    def test_signed_vectors_built_once(self, tmp_path, monkeypatch, capsys):
+        # the difference coefficients come from the two signed vectors the
+        # command already holds, not from a second build of each
+        path = tmp_path / "p40.txt"
+        write_edgelist(build_graph(40, [(k, k + 1) for k in range(39)]), path)
+        calls = []
+        original = centrality.fvec_from_counts
+
+        def counted(counts):
+            calls.append(counts)
+            return original(counts)
+
+        monkeypatch.setattr(centrality, "fvec_from_counts", counted)
+        assert main(["compare", "--graph", str(path), "-i", "3", "-j", "20"]) == 0
+        assert len(calls) == 2
+        report = json.loads(capsys.readouterr().out)
+        fi, fj = report["fvecs"]["i"], report["fvecs"]["j"]
+        assert report["difference_coeffs"]["bvec"] == [a - b for a, b in zip(fi, fj)]
 
     def test_same_node_is_data_error(self, p3_file, capsys):
         assert main(["compare", "--graph", str(p3_file), "-i", "1", "-j", "1"]) == 2
@@ -215,6 +251,18 @@ class TestSimulateCommand:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("bogus = 1\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 8\n# comment\ntrials = abc\n")
+        out = tmp_path / "sim"
+        argv = ["simulate", "--config", str(cfg), "--p", "0.4", "--seed", "1",
+                "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {cfg}:3: trials: ")
+        assert "'abc'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -281,10 +329,11 @@ class TestStartup:
             "import sys\n"
             "import decaycent.cli\n"
             "assert 'scipy' not in sys.modules, 'loaded by the import'\n"
-            "from decaycent import TrialSeed, sample_connected_gnp\n"
-            "from decaycent.simulation import run_trial, uniform_grid\n"
+            "from decaycent.centrality import DeltaGrid\n"
+            "from decaycent.generation import TrialSeed, sample_connected_gnp\n"
+            "from decaycent.simulation import run_trial\n"
             "g, _ = sample_connected_gnp(200, 0.03, TrialSeed(1, 0), 10**6)\n"
-            "run_trial(g, uniform_grid(99))\n"
+            "run_trial(g, DeltaGrid.uniform(99))\n"
             "assert 'scipy' not in sys.modules, 'loaded by run_trial'\n"
         )
         src = str(Path(decaycent.__file__).resolve().parent.parent)

@@ -7,31 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decaycent import (
+from decaycent import ordering
+from decaycent.centrality import (
     DeltaGrid,
-    Relation,
-    TrialSeed,
-    build_graph,
     centrality_table,
+    dc_difference_float,
+    decay_centrality,
+    decay_matrix,
+)
+from decaycent.generation import TrialSeed, sample_connected_gnp
+from decaycent.graph import build_graph, profile_matrix
+from decaycent.ordering import (
+    Relation,
     check_farness_dominance,
     check_high_delta_conditions,
     check_low_delta_conditions,
     check_profile_dominance,
+    decay_argmax_sets,
     lex_compare,
     lex_compare_cvec,
     maximizer_sets,
-    sample_connected_gnp,
     ud_compare,
 )
-from decaycent import ordering
-from decaycent.centrality import (
-    dc_difference_float,
-    decay_centrality,
-    decay_matrix,
-    fvec_from_counts,
-)
-from decaycent.graph import profile_matrix
-from decaycent.ordering import decay_argmax_sets
 from decaycent.verification import sample_graphs
 
 from conftest import CROSSING_PAIR, oracle_decay

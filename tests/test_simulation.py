@@ -1,31 +1,25 @@
 """Trial records, ranks, the rule-of-thumb pick, aggregation, determinism."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from decaycent import (
-    DeltaGrid,
-    SimulationConfig,
-    TrialSeed,
-    aggregate,
-    build_graph,
-    profile_matrix,
-    run_experiment,
-    run_trial,
-    run_trials,
-    sample_connected_gnp,
-)
 from decaycent import simulation
-from decaycent.centrality import decay_matrix
+from decaycent.centrality import DeltaGrid, decay_matrix
+from decaycent.generation import TrialSeed, sample_connected_gnp
+from decaycent.graph import build_graph, profile_matrix
 from decaycent.ordering import _profile_group_ids
 from decaycent.simulation import (
+    SimulationConfig,
+    aggregate,
     decay_ranks,
     iter_trials,
     nearest_rank_percentile,
-    uniform_grid,
+    run_experiment,
+    run_trial,
 )
 from decaycent.verification import floyd_warshall, sample_graphs
 
@@ -137,7 +131,7 @@ class TestTieHeavyMemory:
         g = build_graph(n, edges)
         tracemalloc.start()
         try:
-            rec = run_trial(g, uniform_grid(99))
+            rec = run_trial(g, DeltaGrid.uniform(99))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,11 +263,11 @@ class TestRankCertification:
             return values, np.full_like(bound, np.inf)
 
         monkeypatch.setattr(simulation, "dc_difference_sign", counting_sign)
-        shipped = run_trial(path, uniform_grid(99), p=1.0)
+        shipped = run_trial(path, DeltaGrid.uniform(99), p=1.0)
         certified_calls = len(calls)
         calls.clear()
         monkeypatch.setattr(simulation, "dc_difference_float", no_certificate)
-        forced = run_trial(path, uniform_grid(99), p=1.0)
+        forced = run_trial(path, DeltaGrid.uniform(99), p=1.0)
         assert shipped == forced
         assert len(calls) > 1000
         assert certified_calls <= 0.01 * len(calls)
@@ -322,11 +316,8 @@ class TestAggregate:
     def test_single_trial_frequencies_binary(self):
         g, _ = sample_connected_gnp(8, 0.3, TrialSeed(41, 2))
         agg = aggregate([run_trial(g, GRID9)], GRID9)
-        for freq in (
-            agg.freq_subset_deg(),
-            agg.freq_subset_clos(),
-            agg.freq_disjoint(),
-        ):
+        for counts in (agg.n_subset_deg, agg.n_subset_clos, agg.n_disjoint):
+            freq = np.asarray(counts) / agg.trials
             assert set(np.unique(freq)) <= {0.0, 1.0}
 
     def test_empty_rejected(self):
@@ -367,7 +358,7 @@ class TestRunExperiment:
         cfg = SimulationConfig(n=8, p=0.4, trials=1, seed=90, grid_points=9)
         result = run_experiment(cfg, tmp_path / "out")
         g, rejects = sample_connected_gnp(8, 0.4, TrialSeed(90, 0))
-        rec = run_trial(g, uniform_grid(9), trial_index=0, rejects=rejects, p=0.4)
+        rec = run_trial(g, DeltaGrid.uniform(9), trial_index=0, rejects=rejects, p=0.4)
         agg = result.aggregate
         assert agg.trials == 1
         assert agg.count_intersect == int(rec.intersects)
@@ -387,21 +378,22 @@ class TestRunExperiment:
         assert files["a"] == files["c"]
 
     def test_failed_generations_are_reported_not_dropped(self, tmp_path):
-        # max_rejects=1 at a sparse setting: most generations fail
+        # max_rejects=1 at G(10, .2): half the generations fail, so both
+        # the failed list and the records are non-empty
         cfg = SimulationConfig(
-            n=10, p=0.08, trials=12, seed=7, grid_points=5, max_rejects=1
+            n=10, p=0.2, trials=12, seed=7, grid_points=5, max_rejects=1
         )
-        records, failed = run_trials(cfg)
-        assert len(records) + len(failed) == 12
-        if records:
-            result = run_experiment(cfg, tmp_path / "f")
-            assert len(result.failed_trials) == len(failed)
-            summary = result.summary_path.read_text()
-            assert '"failed_trials"' in summary
+        outcomes = list(iter_trials(cfg))
+        assert [ti for ti, _ in outcomes] == list(range(12))
+        failed = [ti for ti, rec in outcomes if rec is None]
+        assert 0 < len(failed) < 12
+        result = run_experiment(cfg, tmp_path / "f")
+        assert result.failed_trials == tuple(failed)
+        assert result.aggregate.trials == 12 - len(failed)
+        summary = json.loads(result.summary_path.read_text())
+        assert summary["results"]["failed_trials"] == failed
 
     def test_summary_has_config_echo_and_conventions(self, tmp_path):
-        import json
-
         cfg = SimulationConfig(n=8, p=0.5, trials=3, seed=11, grid_points=7)
         result = run_experiment(cfg, tmp_path / "s")
         summary = json.loads(result.summary_path.read_text())
