@@ -9,6 +9,7 @@ from scipy import stats
 from decaycent.generation import (
     RejectionLimitError,
     TrialSeed,
+    _draw_edges,
     pairs_connected,
     sample_connected_gnp,
 )
@@ -52,6 +53,19 @@ class TestTrialSeed:
         a = TrialSeed(7, 3).stream(2).integers(0, 2**32, size=4)
         b = TrialSeed(7, 3).stream(2).integers(0, 2**32, size=4)
         assert (a == b).all()
+
+
+class TestSampleGnp:
+    """The unconditioned G(n, p) edge draw behind every connected-sampler
+    attempt: a uniform subset of ``k`` distinct pairs."""
+
+    def test_determinism(self):
+        u1, v1 = _draw_edges(TrialSeed(5, 9).stream(), 12, 20)
+        u2, v2 = _draw_edges(TrialSeed(5, 9).stream(), 12, 20)
+        assert u1.tolist() == u2.tolist()
+        assert v1.tolist() == v2.tolist()
+        assert (u1 < v1).all()
+        assert len(set(zip(u1.tolist(), v1.tolist()))) == 20
 
 
 class TestSampleConnectedGnp:
