@@ -12,6 +12,31 @@ independent per-pair inclusion law.  Counts below the spanning-tree minimum
 ``n - 1`` are rejected without materializing a graph, which is what makes
 very sparse settings (where tens of thousands of rejections per accepted
 graph are normal) affordable.
+
+Stream layout.  Batch ``b`` of a trial is the stream ``seed.stream(b)``: it
+first draws :data:`BATCH_SIZE` edge counts, then, for each count ``k`` of
+at least ``n - 1`` in order, the draws of numpy's
+``Generator.choice(pop, k, replace=False)`` over the ``pop = n*(n-1)/2``
+pairs.  That call has two branches:
+
+* Floyd's algorithm (``pop <= 10000`` or ``k <= pop // 50``): ``k`` bounded
+  draws ``val_t`` on ``[0, j_t]`` for ``j_t = pop-k+t``, where the pair
+  chosen at step ``t`` is ``val_t``, or ``j_t`` when ``val_t`` was chosen
+  before; then a shuffle of the ``k`` chosen pairs, drawing on ``[0, i]``
+  for ``i = k-1 .. 1``.
+* A partial tail shuffle of all ``pop`` indices otherwise.
+
+Floyd attempts are replayed in chunks: one ``rng.integers(0, highs)``
+call makes the bounded draws of many consecutive attempts.  numpy's
+per-element bounded draw consumes the stream exactly as ``choice`` does;
+``tests/test_generation.py`` checks this, set for set and draw for draw,
+on the installed numpy.  The shuffle's draws are consumed but not applied,
+because the order of an edge set does not change the graph.  A chunk may
+draw past the attempt that is accepted, or past the rejection budget.
+That is still exact: each batch's stream is thrown away once its batch
+returns or runs out, so nothing reads those extra draws.  Tail-shuffle
+attempts, and runs of Floyd attempts too short to pay for a chunk, keep
+one ``choice`` call per attempt.
 """
 
 from __future__ import annotations
@@ -30,6 +55,14 @@ from .graph import Graph, graph_from_pair_arrays
 BATCH_SIZE = 2048
 
 DEFAULT_MAX_REJECTS = 100_000
+
+#: Upper bound on the bounded draws one chunk of Floyd attempts makes in a
+#: single call; it caps the chunk's arrays, not the stream layout.
+CHUNK_DRAWS = 1 << 13
+
+#: Runs of fewer Floyd attempts than this go one ``choice`` call at a
+#: time, which is cheaper than a chunk's fixed cost.
+MIN_CHUNK = 8
 
 
 class RejectionLimitError(RuntimeError):
@@ -123,6 +156,119 @@ def _draw_edges(
     return iu[sel], ju[sel]
 
 
+def _floyd_branch(pop: int, ks: np.ndarray) -> np.ndarray:
+    """Whether ``choice(pop, k, replace=False)`` takes Floyd's branch, per
+    ``k`` of ``ks`` (numpy's own rule)."""
+    return (pop <= 10000) | (ks <= pop // 50)
+
+
+def _floyd_vals(rng: np.random.Generator, pop: int, ks: np.ndarray) -> np.ndarray:
+    """Floyd's vals of consecutive Floyd-branch ``choice(pop, k,
+    replace=False)`` calls, one per ``k`` of ``ks``, concatenated.
+
+    It makes every bounded draw those calls make, in one
+    ``rng.integers(0, highs)`` call, so ``rng`` ends where they leave it.
+    Per call, ``highs`` rises from ``pop - k + 1`` to ``pop`` (Floyd's
+    draws on ``[0, j]``), then falls from ``k`` to 2 (the shuffle's draws
+    on ``[0, i]``).  It is built as the running sum of its steps: +1 or -1
+    inside a run, a jump where a run starts.
+    """
+    lens = np.column_stack((ks, ks - 1)).ravel()
+    first = np.column_stack((pop + 1 - ks, ks)).ravel()
+    rising = np.tile((True, False), len(ks))
+    keep = lens > 0  # a one-pair call does not shuffle
+    lens, first, rising = lens[keep], first[keep], rising[keep]
+    last = np.where(rising, pop, 2)
+    steps = np.repeat(np.where(rising, 1, -1), lens)
+    steps[np.cumsum(lens) - lens] = first - np.concatenate(([0], last[:-1]))
+    return rng.integers(0, np.cumsum(steps))[np.repeat(rising, lens)]
+
+
+def _floyd_set(pop: int, vals: np.ndarray) -> np.ndarray:
+    """The indices Floyd's algorithm chooses from its draws ``vals``.
+
+    Step ``t`` takes ``val_t``, or ``j_t = pop-k+t`` when ``val_t`` is in
+    the set already; ``j_t`` is always new.  The set before step ``t`` is
+    every earlier val plus the earlier ``j_s`` that were taken, so
+    ``val_t`` collides when it repeats an earlier val, or when it equals an
+    earlier ``j_s`` whose step collided.  That second rule only looks back,
+    so growing the collisions from the repeats until nothing changes
+    reaches the exact set.
+    """
+    k = len(vals)
+    lo = pop - k
+    order = np.argsort(vals, kind="stable")
+    collided = np.zeros(k, dtype=bool)
+    collided[order[1:][vals[order[1:]] == vals[order[:-1]]]] = True
+    back = vals - lo
+    steps = np.flatnonzero(~collided & (back >= 0) & (back < np.arange(k)))
+    while steps.size:
+        hit = collided[back[steps]]
+        if not hit.any():
+            break
+        collided[steps[hit]] = True
+        steps = steps[~hit]
+    return np.where(collided, lo + np.arange(k), vals)
+
+
+def _first_connected(
+    rng: np.random.Generator, n: int, counts: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """The first attempt of ``counts`` whose edge draw is connected, as
+    ``(position, us, vs)``, or ``None``.  Draws from ``rng`` what the
+    attempts' ``choice`` calls would, in order, and possibly more.
+
+    Runs of Floyd-branch attempts go in chunks whose size doubles from one
+    attempt, up to :data:`CHUNK_DRAWS` draws.  A chunk of fewer than
+    :data:`MIN_CHUNK` attempts (the first few of a batch, or a run cut
+    short by a tail-shuffle attempt or by the draw cap) is drawn one
+    ``choice`` call at a time, as tail-shuffle attempts are.  A chunk's
+    isolated-vertex kill is vectorised: an attempt's set holds all its vals
+    and lies within its vals plus its ``j``, the last ``k`` pairs, which
+    touch every node from ``iu[pop - k]`` on.  So an attempt whose vals and
+    ``j`` leave a node untouched is rejected exactly.  The others are
+    rebuilt and swept in order.
+    """
+    iu, ju = _pair_index(n)
+    pop = len(iu)
+    drawn = np.flatnonzero(counts >= n - 1)
+    ks = counts[drawn]
+    # each attempt's next tail-shuffle attempt, or the end
+    tails = np.flatnonzero(~_floyd_branch(pop, ks))
+    next_tail = np.append(tails, len(ks))
+    nodes = np.arange(n)
+    i, size = 0, 1
+    while i < len(ks):
+        stop = i + 1
+        if size >= MIN_CHUNK:
+            stop = min(i + size, int(next_tail[np.searchsorted(tails, i)]))
+            if stop - i >= MIN_CHUNK:
+                drawn_to = np.cumsum(2 * ks[i:stop] - 1)
+                stop = i + int(np.searchsorted(drawn_to, CHUNK_DRAWS, "right"))
+        size *= 2
+        if stop - i < MIN_CHUNK:
+            us, vs = _draw_edges(rng, n, int(ks[i]))
+            if pairs_connected(n, us, vs):
+                return int(drawn[i]), us, vs
+            i += 1
+            continue
+        run = ks[i:stop]
+        vals = _floyd_vals(rng, pop, run)
+        touched = nodes >= iu[pop - run][:, None]
+        flat = touched.ravel()
+        base = np.repeat(np.arange(0, len(run) * n, n), run)
+        flat[base + iu[vals]] = True
+        flat[base + ju[vals]] = True
+        offs = np.cumsum(run) - run
+        for a in np.flatnonzero(touched.all(axis=1)).tolist():
+            sel = _floyd_set(pop, vals[offs[a]:offs[a] + run[a]])
+            us, vs = iu[sel], ju[sel]
+            if pairs_connected(n, us, vs):
+                return int(drawn[i + a]), us, vs
+        i = stop
+    return None
+
+
 def sample_connected_gnp(
     n: int,
     p: float,
@@ -134,19 +280,21 @@ def sample_connected_gnp(
     Returns ``(graph, rejects)``.  Raises :class:`RejectionLimitError` once
     more than ``max_rejects`` attempts have been discarded; whether a given
     trial succeeds is itself deterministic in ``(seed, max_rejects)``.
+    Only the first ``max_rejects + 1`` attempts are looked at, so the
+    rejection point is the same as with one attempt at a time.
     """
     validate_np(n, p)
     m_all = n * (n - 1) // 2
-    min_edges = n - 1
-    rejects = 0
+    budget = max(max_rejects, 0) + 1
+    tried = 0
     for batch_index in _count():
         rng = seed.stream(batch_index)
         counts = rng.binomial(m_all, p, size=BATCH_SIZE)
-        for k in counts.tolist():
-            if k >= min_edges:
-                us, vs = _draw_edges(rng, n, k)
-                if pairs_connected(n, us, vs):
-                    return graph_from_pair_arrays(n, us, vs), rejects
-            rejects += 1
-            if rejects > max_rejects:
-                raise RejectionLimitError(n, p, rejects)
+        live = min(BATCH_SIZE, budget - tried)
+        hit = _first_connected(rng, n, counts[:live])
+        if hit is not None:
+            pos, us, vs = hit
+            return graph_from_pair_arrays(n, us, vs), tried + pos
+        tried += live
+        if tried == budget:
+            raise RejectionLimitError(n, p, tried)

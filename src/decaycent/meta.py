@@ -4,16 +4,25 @@ from __future__ import annotations
 
 import subprocess
 from functools import lru_cache
+from pathlib import Path
 
 VERSION = "0.1.0"
 
 
 @lru_cache(maxsize=1)
 def version_string() -> str:
-    """Package version, extended with the git description when available."""
+    """Package version, extended with the git description of the checkout
+    whose ``src/decaycent`` this package is, when there is one.  The
+    caller's working directory plays no part: an installed copy reports
+    the plain version even when it runs inside another repository."""
+    package = Path(__file__).resolve().parent
+    root = package.parent.parent
+    if package.parent.name != "src" or not (root / ".git").exists():
+        return VERSION
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
+            cwd=root,
             capture_output=True,
             text=True,
             timeout=5,
