@@ -35,8 +35,7 @@ because the order of an edge set does not change the graph.  A chunk may
 draw past the attempt that is accepted, or past the rejection budget.
 That is still exact: each batch's stream is thrown away once its batch
 returns or runs out, so nothing reads those extra draws.  Tail-shuffle
-attempts, and runs of Floyd attempts too short to pay for a chunk, keep
-one ``choice`` call per attempt.
+attempts keep one ``choice`` call each.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ DEFAULT_MAX_REJECTS = 100_000
 #: Upper bound on the bounded draws one chunk of Floyd attempts makes in a
 #: single call; it caps the chunk's arrays, not the stream layout.
 CHUNK_DRAWS = 1 << 13
-
-#: Runs of fewer Floyd attempts than this go one ``choice`` call at a
-#: time, which is cheaper than a chunk's fixed cost.
-MIN_CHUNK = 8
 
 
 class RejectionLimitError(RuntimeError):
@@ -168,20 +163,17 @@ def _floyd_vals(rng: np.random.Generator, pop: int, ks: np.ndarray) -> np.ndarra
 
     It makes every bounded draw those calls make, in one
     ``rng.integers(0, highs)`` call, so ``rng`` ends where they leave it.
-    Per call, ``highs`` rises from ``pop - k + 1`` to ``pop`` (Floyd's
-    draws on ``[0, j]``), then falls from ``k`` to 2 (the shuffle's draws
-    on ``[0, i]``).  It is built as the running sum of its steps: +1 or -1
-    inside a run, a jump where a run starts.
+    Per call, step ``t`` of its ``2k - 1`` draws has ``highs`` rising from
+    ``pop - k + 1`` to ``pop`` while ``t < k`` (Floyd's draws on ``[0,
+    j]``), then falling from ``k`` to 2 (the shuffle's draws on ``[0,
+    i]``); a one-pair call does not shuffle.
     """
-    lens = np.column_stack((ks, ks - 1)).ravel()
-    first = np.column_stack((pop + 1 - ks, ks)).ravel()
-    rising = np.tile((True, False), len(ks))
-    keep = lens > 0  # a one-pair call does not shuffle
-    lens, first, rising = lens[keep], first[keep], rising[keep]
-    last = np.where(rising, pop, 2)
-    steps = np.repeat(np.where(rising, 1, -1), lens)
-    steps[np.cumsum(lens) - lens] = first - np.concatenate(([0], last[:-1]))
-    return rng.integers(0, np.cumsum(steps))[np.repeat(rising, lens)]
+    lens = 2 * ks - 1
+    ends = np.cumsum(lens)
+    t = np.arange(ends[-1]) - np.repeat(ends - lens, lens)
+    k = np.repeat(ks, lens)
+    floyd = t < k
+    return rng.integers(0, np.where(floyd, pop - k + 1 + t, 2 * k - t))[floyd]
 
 
 def _floyd_set(pop: int, vals: np.ndarray) -> np.ndarray:
@@ -197,18 +189,21 @@ def _floyd_set(pop: int, vals: np.ndarray) -> np.ndarray:
     """
     k = len(vals)
     lo = pop - k
-    order = np.argsort(vals, kind="stable")
+    ts = np.arange(k)
+    # sorting val * k + t orders by val, then step: a repeat follows its
+    # first step
+    val_of, step_of = np.divmod(np.sort(vals * k + ts), k)
     collided = np.zeros(k, dtype=bool)
-    collided[order[1:][vals[order[1:]] == vals[order[:-1]]]] = True
+    collided[step_of[1:][val_of[1:] == val_of[:-1]]] = True
     back = vals - lo
-    steps = np.flatnonzero(~collided & (back >= 0) & (back < np.arange(k)))
+    steps = np.flatnonzero(~collided & (back >= 0) & (back < ts))
     while steps.size:
         hit = collided[back[steps]]
         if not hit.any():
             break
         collided[steps[hit]] = True
         steps = steps[~hit]
-    return np.where(collided, lo + np.arange(k), vals)
+    return np.where(collided, lo + ts, vals)
 
 
 def _first_connected(
@@ -218,40 +213,37 @@ def _first_connected(
     ``(position, us, vs)``, or ``None``.  Draws from ``rng`` what the
     attempts' ``choice`` calls would, in order, and possibly more.
 
-    Runs of Floyd-branch attempts go in chunks whose size doubles from one
-    attempt, up to :data:`CHUNK_DRAWS` draws.  A chunk of fewer than
-    :data:`MIN_CHUNK` attempts (the first few of a batch, or a run cut
-    short by a tail-shuffle attempt or by the draw cap) is drawn one
-    ``choice`` call at a time, as tail-shuffle attempts are.  A chunk's
-    isolated-vertex kill is vectorised: an attempt's set holds all its vals
-    and lies within its vals plus its ``j``, the last ``k`` pairs, which
-    touch every node from ``iu[pop - k]`` on.  So an attempt whose vals and
-    ``j`` leave a node untouched is rejected exactly.  The others are
-    rebuilt and swept in order.
+    A tail-shuffle attempt is one ``choice`` call.  Runs of Floyd-branch
+    attempts go in chunks whose size doubles from one attempt, cut at the
+    next tail-shuffle attempt and at :data:`CHUNK_DRAWS` draws (a chunk
+    always holds at least one attempt).  A chunk's isolated-vertex kill is
+    vectorised: an attempt's set holds all its vals and lies within its
+    vals plus its ``j``, the last ``k`` pairs, which touch every node from
+    ``iu[pop - k]`` on.  So an attempt whose vals and ``j`` leave a node
+    untouched is rejected exactly.  The others are rebuilt and swept in
+    order.
     """
     iu, ju = _pair_index(n)
     pop = len(iu)
     drawn = np.flatnonzero(counts >= n - 1)
     ks = counts[drawn]
+    floyd = _floyd_branch(pop, ks)
     # each attempt's next tail-shuffle attempt, or the end
-    tails = np.flatnonzero(~_floyd_branch(pop, ks))
+    tails = np.flatnonzero(~floyd)
     next_tail = np.append(tails, len(ks))
     nodes = np.arange(n)
     i, size = 0, 1
     while i < len(ks):
-        stop = i + 1
-        if size >= MIN_CHUNK:
-            stop = min(i + size, int(next_tail[np.searchsorted(tails, i)]))
-            if stop - i >= MIN_CHUNK:
-                drawn_to = np.cumsum(2 * ks[i:stop] - 1)
-                stop = i + int(np.searchsorted(drawn_to, CHUNK_DRAWS, "right"))
-        size *= 2
-        if stop - i < MIN_CHUNK:
+        if not floyd[i]:
             us, vs = _draw_edges(rng, n, int(ks[i]))
             if pairs_connected(n, us, vs):
                 return int(drawn[i]), us, vs
             i += 1
             continue
+        stop = min(i + size, int(next_tail[np.searchsorted(tails, i)]))
+        drawn_to = np.cumsum(2 * ks[i:stop] - 1)
+        stop = i + max(1, int(np.searchsorted(drawn_to, CHUNK_DRAWS, "right")))
+        size *= 2
         run = ks[i:stop]
         vals = _floyd_vals(rng, pop, run)
         touched = nodes >= iu[pop - run][:, None]
