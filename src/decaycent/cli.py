@@ -164,18 +164,33 @@ def _connected_table(g, name: str):
         ) from None
 
 
+def _check_out_paths(*paths: str | None) -> None:
+    """Every output path must name a file in an existing directory, checked
+    before any file is written, so a bad path leaves no partial output."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if not target.parent.is_dir():
+            raise FileNotFoundError(
+                f"{path}: output directory {target.parent} does not exist"
+            )
+        if target.is_dir():
+            raise IsADirectoryError(f"{path}: is a directory, expected a file path")
+
+
 def _cmd_compute(args) -> int:
+    _check_out_paths(args.out, args.json_out)
     g = read_graph(args.graph, fmt=args.format)
     grid = DeltaGrid.uniform(args.grid_points)
     table = _connected_table(g, args.graph)
-    sets = maximizer_sets(g, grid, profiles=table.counts)
-    csv_text = centrality_csv(table, grid)
+    dc = table.decay_values(grid)
+    sets = maximizer_sets(g, grid, profiles=table.counts, dc=dc)
+    csv_text = centrality_csv(table, grid, dc)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.json_out:
-        payload = centrality_payload(table, grid, sets, full=args.full)
+        payload = centrality_payload(table, grid, sets, full=args.full, dc=dc)
         report = with_envelope(
             {"command": "compute", "graph": str(args.graph),
              "grid_points": args.grid_points, "full": bool(args.full)},

@@ -8,6 +8,19 @@ Two graph formats:
 
 Every JSON report is written through :func:`with_envelope`, which adds
 the config echo, version string, and conventions block.
+
+The report text is byte-identical to ``json.dumps(obj, indent=2,
+sort_keys=True)``, but does not come from it: with ``indent`` set, the
+stdlib drops to its pure-Python encoder, which visits every float of a
+99-point decay row one at a time.  :func:`json_text` walks the containers
+itself and hands the scalar items of each container to the C encoder in
+one call, with the indented item separator ``",\n" + indent``.  Only
+scalars may go there: the C encoder knows no indentation, so a nested
+container would come out on one line.  A nested item is therefore sent
+as ``null`` and its line is completed with the item's own text.  The
+encoder escapes every control character inside strings, so a raw newline
+in its output can only come from the separator, and the items can be
+split apart again.
 """
 
 from __future__ import annotations
@@ -141,9 +154,16 @@ def fmt_float(x: float) -> str:
 _PLAIN_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
+def _all_plain(items) -> bool:
+    return _PLAIN_TYPES.issuperset(map(type, items))
+
+
 def jsonable(obj: Any) -> Any:
-    """Recursively convert package types to JSON-encodable values."""
+    """Recursively convert package types to JSON-encodable values.  A list
+    of plain scalars is returned as it is, not copied."""
     if type(obj) in _PLAIN_TYPES:
+        return obj
+    if type(obj) is list and _all_plain(obj):
         return obj
     if isinstance(obj, Enum):
         return obj.value
@@ -168,6 +188,40 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
+def json_text(obj: Any, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of a :func:`jsonable`
+    value (dict keys are strings), with every line after the first shifted
+    right by ``indent``."""
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        values = [obj[k] for k in keys]
+    elif isinstance(obj, (list, tuple)):
+        keys = None
+        values = obj
+    else:
+        return json.dumps(obj)
+    if not values:
+        return "{}" if keys is not None else "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    nested = [] if _all_plain(values) else [
+        i for i, v in enumerate(values) if isinstance(v, (dict, list, tuple))
+    ]
+    if nested:
+        values = list(values)
+        for i in nested:
+            values[i] = None
+    body = json.dumps(values if keys is None else dict(zip(keys, values)),
+                      separators=(sep, ": "))
+    opening, body, closing = body[0], body[1:-1], body[-1]
+    if nested:
+        items = body.split(sep)
+        for i in nested:
+            items[i] = items[i][:-4] + json_text(obj[i if keys is None else keys[i]], inner)
+        body = sep.join(items)
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+
+
 def with_envelope(config_echo: dict[str, Any], payload: dict[str, Any]) -> str:
     """JSON text of a report: the payload under the standard metadata block,
     indented and key-sorted, with a final newline."""
@@ -177,23 +231,28 @@ def with_envelope(config_echo: dict[str, Any], payload: dict[str, Any]) -> str:
         "conventions": conventions(),
     }
     out.update(jsonable(payload))
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+    return json_text(out) + "\n"
 
 
-def centrality_csv(table: CentralityTable, grid: DeltaGrid) -> str:
-    """CSV rows ``node,degree,farness,closeness,dc@...`` for every node."""
+def centrality_csv(
+    table: CentralityTable, grid: DeltaGrid, dc: np.ndarray | None = None
+) -> str:
+    """CSV rows ``node,degree,farness,closeness,dc@...`` for every node.
+    ``dc`` is ``table.decay_values(grid)``, when the caller has it already.
+
+    Each row is one ``%`` template: ``"%.9g" % x`` spells every float,
+    special values included, as :func:`fmt_float` does."""
+    if dc is None:
+        dc = table.decay_values(grid)
     header = ["node", "degree", "farness", "closeness"] + [
         f"dc@{fmt_float(d)}" for d in grid.values
     ]
+    row = "%d,%d,%d" + ",%.9g" * (len(grid.values) + 1)
     lines = [",".join(header)]
-    for i, dcs in enumerate(table.decay_values(grid).tolist()):
-        row = [
-            str(i),
-            str(table.degrees[i]),
-            str(table.farness[i]),
-            fmt_float(1.0 / table.farness[i]),
-        ] + [fmt_float(v) for v in dcs]
-        lines.append(",".join(row))
+    lines.extend(
+        row % (i, degree, far, 1.0 / far, *dcs)
+        for i, (degree, far, dcs) in enumerate(zip(table.degrees, table.farness, dc.tolist()))
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -202,11 +261,15 @@ def centrality_payload(
     grid: DeltaGrid,
     maximizers: MaximizerSets,
     full: bool = False,
+    dc: np.ndarray | None = None,
 ) -> dict[str, Any]:
     """JSON payload for the centrality report; ``full`` adds the profile and
-    signed-farness / reciprocal vectors per node."""
+    signed-farness / reciprocal vectors per node.  ``dc`` is
+    ``table.decay_values(grid)``, when the caller has it already."""
+    if dc is None:
+        dc = table.decay_values(grid)
     nodes = []
-    for i, dcs in enumerate(table.decay_values(grid).tolist()):
+    for i, dcs in enumerate(dc.tolist()):
         entry: dict[str, Any] = {
             "node": i,
             "degree": table.degrees[i],

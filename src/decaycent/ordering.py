@@ -404,14 +404,18 @@ def int_argmin_set(values: Sequence[int]) -> frozenset[int]:
 
 
 def maximizer_sets(
-    g: Graph, grid: DeltaGrid, profiles: np.ndarray | None = None
+    g: Graph,
+    grid: DeltaGrid,
+    profiles: np.ndarray | None = None,
+    dc: np.ndarray | None = None,
 ) -> MaximizerSets:
     """Compute all three maximizer families for a connected graph.
 
     Degree and closeness winners come from exact integer comparisons
     (closeness ties are exact farness ties); the per-delta decay winners use
     the exact-confirmation path of :func:`decay_argmax_sets`.  ``profiles``
-    is the graph's :func:`profile_matrix`, when the caller has it already.
+    is the graph's :func:`profile_matrix` and ``dc`` its
+    :func:`decay_matrix` on ``grid``, when the caller has them already.
     """
     if profiles is None:
         profiles = profile_matrix(g)
@@ -420,7 +424,8 @@ def maximizer_sets(
         return MaximizerSets(only, only, tuple(only for _ in grid.values))
     degrees = profiles[:, 0].tolist()
     farness = farness_vector(profiles).tolist()
-    dc = decay_matrix(profiles, grid)
+    if dc is None:
+        dc = decay_matrix(profiles, grid)
     return MaximizerSets(
         by_degree=int_argmax_set(degrees),
         by_closeness=int_argmin_set(farness),

@@ -14,7 +14,6 @@ number of workers yields byte-identical output files.
 
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 from dataclasses import asdict, dataclass
@@ -42,7 +41,7 @@ from .generation import (
     validate_np,
 )
 from .graph import Graph, profile_matrix
-from .io import fmt_float, with_envelope
+from .io import with_envelope
 from .ordering import (
     _profile_group_ids,
     decay_argmax_sets,
@@ -429,28 +428,21 @@ RECORDS_HEADER = [
 ]
 
 
-def _record_rows(rec: TrialRecord, grid: DeltaGrid) -> Iterator[list[str]]:
+#: The fields of a ``records.csv`` line after the trial's own five;
+#: ``"%.9g" % x`` spells a float as :func:`decaycent.io.fmt_float` does.
+_RECORD_ROW = "%.9g,%d,%d,%d,%d,%d,%d,%d,%.9g,%.9g,%d\n"
+
+
+def _record_rows(rec: TrialRecord, grid: DeltaGrid) -> str:
+    """The trial's ``records.csv`` lines, one per grid point."""
     thr = "" if rec.threshold_index is None else str(rec.threshold_index)
     clean = "" if rec.transition_clean is None else str(int(rec.transition_clean))
-    for gi, delta in enumerate(grid.values):
-        yield [
-            str(rec.trial_index),
-            str(rec.rejects),
-            str(int(rec.intersects)),
-            thr,
-            clean,
-            fmt_float(delta),
-            str(int(rec.subset_deg[gi])),
-            str(int(rec.subset_clos[gi])),
-            str(int(rec.subset_core[gi])),
-            str(int(rec.disjoint[gi])),
-            str(rec.rank_deg_best[gi]),
-            str(rec.rank_clos_best[gi]),
-            str(rec.rank_rule[gi]),
-            fmt_float(rec.rank_deg_avg[gi]),
-            fmt_float(rec.rank_clos_avg[gi]),
-            str(rec.rule_pick[gi]),
-        ]
+    head = f"{rec.trial_index},{rec.rejects},{int(rec.intersects)},{thr},{clean},"
+    return "".join(head + _RECORD_ROW % fields for fields in zip(
+        grid.values, rec.subset_deg, rec.subset_clos, rec.subset_core,
+        rec.disjoint, rec.rank_deg_best, rec.rank_clos_best, rec.rank_rule,
+        rec.rank_deg_avg, rec.rank_clos_avg, rec.rule_pick,
+    ))
 
 
 AGGREGATE_HEADER = (
@@ -465,31 +457,31 @@ AGGREGATE_HEADER = (
 )
 
 
-def _aggregate_rows(agg: AggregateStats) -> Iterator[list[str]]:
+def _aggregate_rows(agg: AggregateStats) -> str:
+    """The ``aggregate.csv`` lines, one per grid point; the
+    non-intersecting frequencies are empty when no trial had disjoint
+    degree and closeness sets."""
     t = agg.trials
     nn = agg.count_nonintersect
-    families = (
-        agg.rank_deg_best,
-        agg.rank_clos_best,
-        agg.rank_rule,
-        agg.rank_deg_avg,
-        agg.rank_clos_avg,
-    )
+    row = ("%.9g,%d,%.9g,%.9g,%.9g,%d" + (",%.9g,%.9g,%.9g" if nn else ",,,")
+           + ",%.9g" * 15 + "\n")
+    stats = [
+        stat
+        for fam in (agg.rank_deg_best, agg.rank_clos_best, agg.rank_rule,
+                    agg.rank_deg_avg, agg.rank_clos_avg)
+        for stat in (fam.mean, fam.p5, fam.p95)
+    ]
+    lines = []
     for gi, delta in enumerate(agg.grid.values):
-        row = [
-            fmt_float(delta),
-            str(t),
-            fmt_float(agg.n_subset_deg[gi] / t),
-            fmt_float(agg.n_subset_clos[gi] / t),
-            fmt_float(agg.n_disjoint[gi] / t),
-            str(nn),
-            fmt_float(agg.n_subset_deg_nonint[gi] / nn) if nn else "",
-            fmt_float(agg.n_subset_clos_nonint[gi] / nn) if nn else "",
-            fmt_float(agg.n_disjoint_nonint[gi] / nn) if nn else "",
-        ]
-        for fam in families:
-            row.extend(fmt_float(stat[gi]) for stat in (fam.mean, fam.p5, fam.p95))
-        yield row
+        fields = [delta, t, agg.n_subset_deg[gi] / t, agg.n_subset_clos[gi] / t,
+                  agg.n_disjoint[gi] / t, nn]
+        if nn:
+            fields += [agg.n_subset_deg_nonint[gi] / nn,
+                       agg.n_subset_clos_nonint[gi] / nn,
+                       agg.n_disjoint_nonint[gi] / nn]
+        fields += [stat[gi] for stat in stats]
+        lines.append(row % tuple(fields))
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -516,14 +508,13 @@ def run_experiment(config: SimulationConfig, out_dir: str | Path) -> ExperimentR
     records: list[TrialRecord] = []
     failed: list[int] = []
     with records_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORDS_HEADER)
+        fh.write(",".join(RECORDS_HEADER) + "\n")
         for ti, rec in iter_trials(config):
             if rec is None:
                 failed.append(ti)
                 continue
             records.append(rec)
-            writer.writerows(_record_rows(rec, grid))
+            fh.write(_record_rows(rec, grid))
 
     if not records:
         raise AllTrialsFailedError(
@@ -535,9 +526,7 @@ def run_experiment(config: SimulationConfig, out_dir: str | Path) -> ExperimentR
 
     agg = aggregate(records, grid)
     with aggregate_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER)
-        writer.writerows(_aggregate_rows(agg))
+        fh.write(",".join(AGGREGATE_HEADER) + "\n" + _aggregate_rows(agg))
 
     summary_path.write_text(with_envelope(asdict(config), {
         "results": {

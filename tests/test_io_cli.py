@@ -153,6 +153,23 @@ class TestComputeCommand:
         err = capsys.readouterr().err
         assert str(path) in err and "disconnected" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--json"])
+    @pytest.mark.parametrize("bad, message", [("missing/x", "does not exist"),
+                                              ("subdir", "is a directory")])
+    def test_bad_output_path_leaves_no_output(self, p3_file, tmp_path, capsys, flag,
+                                              bad, message):
+        (tmp_path / "subdir").mkdir()
+        paths = {"--out": tmp_path / "t.csv", "--json": tmp_path / "r.json"}
+        paths[flag] = tmp_path / bad
+        argv = ["compute", "--graph", str(p3_file)]
+        for key, path in paths.items():
+            argv += [key, str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[flag]}: ") and message in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["p3.txt", "subdir"]
+        assert not any((tmp_path / "subdir").iterdir())
+
     def test_stdout_default(self, p3_file, capsys):
         assert main(["compute", "--graph", str(p3_file), "--grid-points", "2"]) == 0
         out = capsys.readouterr().out
