@@ -201,6 +201,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_out_paths(args.out)
     g = read_graph(args.graph, fmt=args.format)
     i, j = args.i, args.j
     for node in (i, j):
@@ -269,6 +270,7 @@ def _cmd_check(args) -> int:
         raise UsageError(f"check needs --n-max >= {MIN_CHECK_NODES}, got {args.n_max}")
     if args.graphs < 1:
         raise UsageError(f"check needs --graphs >= 1, got {args.graphs}")
+    _check_out_paths(args.out)
     results = run_all_checks(n_max=args.n_max, graphs=args.graphs, seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -246,42 +246,48 @@ class MaximizerSets:
     by_decay: tuple[frozenset[int], ...]
 
 
-def _profile_group_ids(profiles: np.ndarray) -> np.ndarray:
+def profile_groups(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a profile matrix: ``(first, inverse, sizes)``.
+
+    Groups are numbered ``0 .. K-1`` in lexicographic order of their live
+    columns.  ``first[k]`` is the lowest node of group ``k``,
+    ``inverse[v]`` the group of node ``v`` and ``sizes[k]`` the group's
+    node count, as ``np.unique(..., axis=0)`` returns them, from one
+    stable sort of the rows.
+    """
     live = profiles[:, : live_levels(profiles)]
-    _, inverse = np.unique(live, axis=0, return_inverse=True)
-    return inverse.reshape(-1)
+    n = len(live)
+    order = np.lexsort(live.T[::-1]) if live.shape[1] else np.arange(n)
+    ordered = live[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    heads = np.flatnonzero(starts)
+    return order[heads], inverse, np.diff(heads, append=n)
 
 
 def exact_argmax_nodes(
     candidates: Sequence[int],
     profiles: np.ndarray,
     delta: Fraction,
-    group_ids: np.ndarray | None = None,
 ) -> list[int]:
-    """Exact decay argmax among candidate nodes at one rational delta.
+    """Exact decay argmax among candidate rows at one rational delta.
 
-    Nodes with identical profiles are tied by construction; distinct
-    profiles are compared by the exact integer sign of the polynomial
-    difference, so a crossing that lands exactly on the grid point yields
-    a genuine multi-profile tie.  Returns sorted node ids.
+    Every candidate is compared with the current leader by the exact
+    integer sign of the polynomial difference, so identical rows tie and a
+    crossing that lands exactly on the grid point yields a genuine
+    multi-profile tie.  Returns sorted row ids.
     """
-    if group_ids is None:
-        group_ids = _profile_group_ids(profiles)
-    reps: dict[int, int] = {}
-    for node in candidates:
-        reps.setdefault(int(group_ids[node]), int(node))
-    rep_items = list(reps.items())
-    best_groups = [rep_items[0][0]]
-    best_row = profiles[rep_items[0][1]]
-    for gid, node in rep_items[1:]:
-        s = dc_difference_sign(profiles[node], best_row, delta)
+    cands = sorted(int(v) for v in candidates)
+    best = [cands[0]]
+    for v in cands[1:]:
+        s = dc_difference_sign(profiles[v], profiles[best[0]], delta)
         if s > 0:
-            best_groups = [gid]
-            best_row = profiles[node]
+            best = [v]
         elif s == 0:
-            best_groups.append(gid)
-    keep = set(best_groups)
-    return sorted(int(v) for v in candidates if int(group_ids[v]) in keep)
+            best.append(v)
+    return best
 
 
 def _float_survivors(rows: np.ndarray, values: np.ndarray, delta: float) -> np.ndarray:
@@ -308,23 +314,25 @@ def _float_survivors(rows: np.ndarray, values: np.ndarray, delta: float) -> np.n
 
 def decay_argmax_sets(
     dc: np.ndarray,
-    profiles: np.ndarray,
+    rows: np.ndarray,
     grid: DeltaGrid,
-    group_ids: np.ndarray | None = None,
 ) -> tuple[frozenset[int], ...]:
     """Decay argmax set at every grid point, decided exactly.
 
-    ``dc`` is ``decay_matrix(profiles, grid)``.  At each grid point the
-    candidates are the nodes whose value interval ``dc +- err``
+    ``rows`` are profile rows, normally the distinct profiles of one graph
+    (its profile groups, :func:`profile_groups`), and ``dc`` is
+    ``decay_matrix(rows, grid)``; the sets hold row ids.  Rows that repeat
+    are allowed and tie through the exact sign.  At each grid point the
+    candidates are the rows whose value interval ``dc +- err``
     (:func:`decay_error_bound`) reaches the largest lower end
-    ``max(dc - err)``; no exact maximizer lies outside.  When the
-    candidates span more than one distinct profile, each profile's
-    difference polynomial to the current leader,
-    ``p(delta) = sum_l d_l delta**l`` with ``d = c_g - c_lead``, is
-    evaluated directly in floats (:func:`_float_survivors`); profiles
-    certainly below the leader drop out, and only those the float value
-    cannot separate from the leader go to the exact rational comparison
-    (:func:`exact_argmax_nodes`), so exact ties stay exact.
+    ``max(dc - err)``; no exact maximizer lies outside.  When there is
+    more than one candidate, each candidate's difference polynomial to the
+    current leader, ``p(delta) = sum_l d_l delta**l`` with
+    ``d = c_g - c_lead``, is evaluated directly in floats
+    (:func:`_float_survivors`); rows certainly below the leader drop out,
+    and only those the float value cannot separate from the leader go to
+    the exact rational comparison (:func:`exact_argmax_nodes`), so exact
+    ties stay exact.
 
     The difference certificate is a derived forward-error bound, like the
     window.  With unit roundoff ``u = 2**-53``,
@@ -363,11 +371,9 @@ def decay_argmax_sets(
     float difference of 0 and a zero relative term.  Such a difference
     stays uncertified, and the exact comparison decides it.
     """
-    if group_ids is None:
-        group_ids = _profile_group_ids(profiles)
     fracs = grid.fractions()
     out: list[frozenset[int]] = []
-    err = decay_error_bound(dc, profiles)
+    err = decay_error_bound(dc, rows)
     reach = dc + err >= (dc - err).max(axis=0)
     single = (reach.sum(axis=0) == 1).tolist()
     first_reach = reach.argmax(axis=0).tolist()
@@ -375,19 +381,11 @@ def decay_argmax_sets(
         if single[g]:
             out.append(frozenset((first_reach[g],)))
             continue
-        col = dc[:, g]
         cand = np.flatnonzero(reach[:, g])
-        cand_groups = group_ids[cand]
-        if (cand_groups == cand_groups[0]).all():
-            out.append(frozenset(cand.tolist()))
-            continue
-        groups, first = np.unique(cand_groups, return_index=True)
-        reps = cand[first]
-        keep = _float_survivors(profiles[reps], col[reps], delta)
-        winners = cand[np.isin(cand_groups, groups[keep])].tolist()
+        keep = cand[_float_survivors(rows[cand], dc[cand, g], delta)].tolist()
         if len(keep) > 1:
-            winners = exact_argmax_nodes(winners, profiles, fracs[g], group_ids)
-        out.append(frozenset(winners))
+            keep = exact_argmax_nodes(keep, rows, fracs[g])
+        out.append(frozenset(keep))
     return tuple(out)
 
 
@@ -413,9 +411,10 @@ def maximizer_sets(
 
     Degree and closeness winners come from exact integer comparisons
     (closeness ties are exact farness ties); the per-delta decay winners use
-    the exact-confirmation path of :func:`decay_argmax_sets`.  ``profiles``
-    is the graph's :func:`profile_matrix` and ``dc`` its
-    :func:`decay_matrix` on ``grid``, when the caller has them already.
+    the exact-confirmation path of :func:`decay_argmax_sets` on the
+    graph's distinct profiles, each winning profile standing for all of its
+    nodes.  ``profiles`` is the graph's :func:`profile_matrix` and ``dc``
+    its :func:`decay_matrix` on ``grid``, when the caller has them already.
     """
     if profiles is None:
         profiles = profile_matrix(g)
@@ -424,10 +423,15 @@ def maximizer_sets(
         return MaximizerSets(only, only, tuple(only for _ in grid.values))
     degrees = profiles[:, 0].tolist()
     farness = farness_vector(profiles).tolist()
-    if dc is None:
-        dc = decay_matrix(profiles, grid)
+    first, inverse, sizes = profile_groups(profiles)
+    rows = profiles[first]
+    dc = decay_matrix(rows, grid) if dc is None else dc[first]
+    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(sizes)[:-1])
     return MaximizerSets(
         by_degree=int_argmax_set(degrees),
         by_closeness=int_argmin_set(farness),
-        by_decay=decay_argmax_sets(dc, profiles, grid),
+        by_decay=tuple(
+            frozenset(np.concatenate([members[k] for k in s]).tolist())
+            for s in decay_argmax_sets(dc, rows, grid)
+        ),
     )

@@ -42,12 +42,7 @@ from .generation import (
 )
 from .graph import Graph, profile_matrix
 from .io import with_envelope
-from .ordering import (
-    _profile_group_ids,
-    decay_argmax_sets,
-    int_argmax_set,
-    int_argmin_set,
-)
+from .ordering import decay_argmax_sets, profile_groups
 
 
 class AllTrialsFailedError(RuntimeError):
@@ -99,34 +94,32 @@ class TrialRecord:
 
 def decay_ranks(
     dc: np.ndarray,
-    profiles: np.ndarray,
-    group_ids: np.ndarray,
+    rows: np.ndarray,
+    sizes: np.ndarray,
     fracs: Sequence[Fraction],
     members: Sequence[int],
 ) -> np.ndarray:
-    """Competition ranks ``1 + #{u : DC_u > DC_v}`` of the member nodes at
-    every grid point, shape ``(len(members), len(grid))``.
+    """Competition ranks ``1 + #{u : DC_u > DC_v}`` of the nodes ``v`` of
+    each member group at every grid point, shape
+    ``(len(members), len(grid))``.
 
-    ``dc`` is ``decay_matrix(profiles, grid)`` and ``group_ids`` numbers
-    the distinct profiles ``0 .. K-1``.  Works on profile groups (nodes
-    with one profile tie exactly), one member group at a time, so memory
-    stays at ``O(K * (grid + levels))``.  A group counts as greater when its value
-    interval ``dc +- err`` (:func:`decay_error_bound`) lies wholly above
-    the member group's.  Groups whose intervals overlap it are compared
-    one grid column at a time through their difference polynomial to the
-    member group (:func:`dc_difference_float`, as in
+    ``rows`` are a graph's distinct profiles (its profile groups, with
+    ``sizes[k]`` nodes in group ``k``), ``dc`` is ``decay_matrix(rows,
+    grid)`` and ``members`` are group ids.  Nodes of one group tie
+    exactly, so a greater group counts with its size.  One member group is
+    ranked at a time, so memory stays at ``O(K * (grid + levels))``.  A
+    group counts as greater when its value interval ``dc +- err``
+    (:func:`decay_error_bound`) lies wholly above the member group's.
+    Groups whose intervals overlap it are compared one grid column at a
+    time through their difference polynomial to the member group
+    (:func:`dc_difference_float`, as in
     :func:`decaycent.ordering.decay_argmax_sets`); only those that
     comparison cannot certify go to the exact rational sign.
     """
-    sizes = np.bincount(group_ids)
-    rep = np.empty(len(sizes), dtype=np.intp)
-    rep[group_ids] = np.arange(len(group_ids))  # any member: rows are equal
-    rows = profiles[rep, : live_levels(profiles)]
-    err = decay_error_bound(dc[rep], profiles)
-    lo, hi = dc[rep] - err, dc[rep] + err
-    mine, back = np.unique(group_ids[np.asarray(members)], return_inverse=True)
-    ranks = np.empty((len(mine), dc.shape[1]), dtype=np.int64)
-    for r, h in enumerate(mine.tolist()):
+    err = decay_error_bound(dc, rows)
+    lo, hi = dc - err, dc + err
+    ranks = np.empty((len(members), dc.shape[1]), dtype=np.int64)
+    for r, h in enumerate(members):
         above = lo > hi[h]
         near = ~above & (hi >= lo[h])
         near[h] = False
@@ -138,7 +131,7 @@ def decay_ranks(
             for t in np.flatnonzero(np.abs(diff) <= bound).tolist():
                 greater[t] = dc_difference_sign(rows[ks[t]], rows[h], fracs[g]) > 0
             ranks[r, g] += sizes[ks] @ greater
-    return ranks[back.reshape(-1)]
+    return ranks
 
 
 def _detect_threshold(
@@ -171,46 +164,61 @@ def run_trial(
     rejects: int = 0,
     p: float = float("nan"),
 ) -> TrialRecord:
-    """Evaluate one connected graph over the whole grid."""
+    """Evaluate one connected graph over the whole grid.
+
+    Nodes with one distance profile share their degree, farness and decay
+    value at every delta, so every set, flag and rank is worked out on the
+    graph's profile groups (:func:`profile_groups`): the decay matrix,
+    argmax sets and ranks cover the ``K`` distinct rows, and only the
+    degree and closeness sets are spelled out as nodes.
+    """
     profiles = profile_matrix(g)
-    degrees = profiles[:, 0].tolist()
-    farness = farness_vector(profiles).tolist()
-    deg_set = int_argmax_set(degrees)
-    clos_set = int_argmin_set(farness)
-    core = deg_set & clos_set
-    union = deg_set | clos_set
+    first, inverse, sizes = profile_groups(profiles)
+    rows = profiles[first]
+    rows = rows[:, : live_levels(rows)]
+    degrees = rows[:, 0]
+    farness = farness_vector(rows)
+    in_deg = degrees == degrees.max()
+    in_clos = farness == farness.min()
+    deg_set = frozenset(np.flatnonzero(in_deg[inverse]).tolist())
+    clos_set = frozenset(np.flatnonzero(in_clos[inverse]).tolist())
+    deg_groups = frozenset(np.flatnonzero(in_deg).tolist())
+    clos_groups = frozenset(np.flatnonzero(in_clos).tolist())
+    core = deg_groups & clos_groups
+    union = deg_groups | clos_groups
     intersects = bool(core)
 
-    dc = decay_matrix(profiles, grid)
-    gid = _profile_group_ids(profiles)
-    dc_sets = decay_argmax_sets(dc, profiles, grid, gid)
+    dc = decay_matrix(rows, grid)
+    dc_sets = decay_argmax_sets(dc, rows, grid)
 
-    subset_deg = [s <= deg_set for s in dc_sets]
-    subset_clos = [s <= clos_set for s in dc_sets]
+    subset_deg = [s <= deg_groups for s in dc_sets]
+    subset_clos = [s <= clos_groups for s in dc_sets]
     subset_core = [intersects and s <= core for s in dc_sets]
     disjoint = [not (s & union) for s in dc_sets]
 
     members = np.array(sorted(union))
-    ranks = decay_ranks(dc, profiles, gid, grid.fractions(), members)
-    in_deg = np.isin(members, sorted(deg_set))
-    in_clos = np.isin(members, sorted(clos_set))
+    ranks = decay_ranks(dc, rows, sizes, grid.fractions(), members)
+    in_deg, in_clos, weight = in_deg[members], in_clos[members], sizes[members]
     deg_rows = ranks[in_deg]
     clos_rows = ranks[in_clos]
     rank_deg_best = deg_rows.min(axis=0).tolist()
     rank_clos_best = clos_rows.min(axis=0).tolist()
-    rank_deg_avg = deg_rows.mean(axis=0).tolist()
-    rank_clos_avg = clos_rows.mean(axis=0).tolist()
+    # node means: integer sums below 2**53, so equal to a mean over nodes
+    rank_deg_avg = (weight[in_deg] @ deg_rows / weight[in_deg].sum()).tolist()
+    rank_clos_avg = (weight[in_clos] @ clos_rows / weight[in_clos].sum()).tolist()
 
     # rule of thumb: the max-degree set below 1/2, the max-closeness set
     # above, their union at 1/2.  Candidates share a rank only when their
-    # decay values tie exactly, and argmin takes the first (lowest id) row.
+    # decay values tie exactly; the pick is then the lowest node id.
     deltas = np.asarray(grid.values)
     candidate = (
         in_deg[:, None] & (deltas <= 0.5) | in_clos[:, None] & (deltas >= 0.5)
     )
     candidate_ranks = np.where(candidate, ranks, g.n + 1)
-    rule_pick = members[candidate_ranks.argmin(axis=0)].tolist()
-    rank_rule = candidate_ranks.min(axis=0).tolist()
+    rank_rule = candidate_ranks.min(axis=0)
+    at_best = candidate_ranks == rank_rule
+    rule_pick = np.where(at_best, first[members][:, None], g.n).min(axis=0).tolist()
+    rank_rule = rank_rule.tolist()
 
     threshold_index, transition_clean = _detect_threshold(
         subset_deg, subset_clos, intersects

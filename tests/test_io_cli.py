@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import decaycent
-from decaycent import centrality
+from decaycent import centrality, cli
 from decaycent.cli import main
 from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph
@@ -214,6 +214,23 @@ class TestCompareCommand:
         fi, fj = report["fvecs"]["i"], report["fvecs"]["j"]
         assert report["difference_coeffs"]["bvec"] == [a - b for a, b in zip(fi, fj)]
 
+    @pytest.mark.parametrize("bad, message", [("missing/x.json", "does not exist"),
+                                              ("subdir", "is a directory")])
+    def test_bad_output_path_fails_before_any_work(self, p3_file, tmp_path, monkeypatch,
+                                                   capsys, bad, message):
+        (tmp_path / "subdir").mkdir()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("read the graph before checking --out")
+
+        monkeypatch.setattr(cli, "read_graph", no_work)
+        out = tmp_path / bad
+        assert main(["compare", "--graph", str(p3_file), "-i", "0", "-j", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and message in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["p3.txt", "subdir"]
+
     def test_same_node_is_data_error(self, p3_file, capsys):
         assert main(["compare", "--graph", str(p3_file), "-i", "1", "-j", "1"]) == 2
         assert "distinct" in capsys.readouterr().err
@@ -316,6 +333,22 @@ class TestCheckCommand:
         assert main(["check", "--graphs", graphs, "--out", str(out)]) == 1
         assert "--graphs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [("missing/x.json", "does not exist"),
+                                              ("subdir", "is a directory")])
+    def test_bad_output_path_fails_before_any_check(self, tmp_path, monkeypatch, capsys,
+                                                    bad, message):
+        (tmp_path / "subdir").mkdir()
+
+        def no_work(**kwargs):
+            raise AssertionError("ran the checks before checking --out")
+
+        monkeypatch.setattr(cli, "run_all_checks", no_work)
+        out = tmp_path / bad
+        assert main(["check", "--graphs", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and message in err
+        assert [f.name for f in tmp_path.iterdir()] == ["subdir"]
 
     def test_small_run_passes(self, capsys):
         code = main(["check", "--graphs", "12", "--n-max", "8", "--seed", "2"])

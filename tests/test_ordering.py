@@ -27,6 +27,7 @@ from decaycent.ordering import (
     lex_compare,
     lex_compare_cvec,
     maximizer_sets,
+    profile_groups,
     ud_compare,
 )
 from decaycent.verification import sample_graphs
@@ -315,6 +316,54 @@ class TestMaximizerSets:
         assert sets[0] == frozenset({0})
         assert sets[1] == frozenset({0, 1})  # exact tie at one half
         assert sets[2] == frozenset({1})
+
+
+class TestProfileGroups:
+    """profile_groups equals np.unique over the rows, group numbering
+    included (all-zero columns change no row order)."""
+
+    def assert_matches_unique(self, profiles):
+        _, first, inverse, sizes = np.unique(
+            profiles, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        got = profile_groups(profiles)
+        for have, want in zip(got, (first, inverse.reshape(-1), sizes)):
+            assert have.tolist() == want.tolist()
+        return got
+
+    def test_path_200(self):
+        profiles = profile_matrix(path_graph(200))
+        assert profiles[0].any() and profiles.shape[1] == 199
+        first, _, sizes = self.assert_matches_unique(profiles)
+        assert len(first) == 100 and set(sizes.tolist()) == {2}
+
+    def test_complete_and_cycle(self):
+        for n in (2, 5, 40):
+            k = build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+            assert [a.tolist() for a in self.assert_matches_unique(profile_matrix(k))] == [
+                [0], [0] * n, [n]]
+        cycle = build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+        assert len(self.assert_matches_unique(profile_matrix(cycle))[0]) == 1
+
+    def test_star(self, star4):
+        first, inverse, sizes = self.assert_matches_unique(profile_matrix(star4))
+        assert sizes[inverse].tolist() == [1, 3, 3, 3]
+
+    def test_equal_rows_apart_in_node_order(self):
+        # leaves 0, 1, 3 and 4 of a star centred at 2, and the ends 0, 5
+        # and inner pairs of a path: equal rows that are not neighbours
+        star = build_graph(5, [(2, 0), (2, 1), (2, 3), (2, 4)])
+        first, inverse, _ = self.assert_matches_unique(profile_matrix(star))
+        assert inverse.tolist() == [0, 0, 1, 0, 0] and first.tolist() == [0, 2]
+        first, inverse, _ = self.assert_matches_unique(profile_matrix(path_graph(6)))
+        assert first.tolist() == [0, 1, 2] and inverse.tolist() == [0, 1, 2, 2, 1, 0]
+
+    def test_sampled_graphs(self):
+        for n, p in ((50, 0.04), (200, 0.03), (30, 0.5), (12, 0.3)):
+            for idx in range(3):
+                g, _ = sample_connected_gnp(n, p, TrialSeed(88, idx))
+                self.assert_matches_unique(profile_matrix(g))
+        for g in sample_graphs(20, n_max=10, seed=6):
+            self.assert_matches_unique(profile_matrix(g))
 
 
 def exact_decay_argmax(profiles, delta: float) -> frozenset[int]:

@@ -11,7 +11,7 @@ from decaycent import simulation
 from decaycent.centrality import DeltaGrid, decay_matrix
 from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph, profile_matrix
-from decaycent.ordering import _profile_group_ids
+from decaycent.ordering import profile_groups
 from decaycent.simulation import (
     SimulationConfig,
     aggregate,
@@ -169,6 +169,25 @@ class TestRanksAgainstBruteForce:
         # n=6 kite: a triangle with a two-edge tail
         self.assert_matches(build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)]))
 
+    @pytest.mark.parametrize("n, edges, field, nodes", [
+        # max-degree nodes 0 and 3 share (3, 2) and rank 1; node 2's
+        # (3, 1, 1) ranks 3 below them
+        (6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 5)], "deg", {0, 2, 3}),
+        # max-closeness nodes 0 and 6 share (4, 1, 1) and rank 1; node 2's
+        # (3, 3) ranks 3 below them
+        (7, [(0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 5), (2, 6), (3, 4), (3, 6),
+             (4, 6)], "clos", {0, 2, 6}),
+    ], ids=["degree", "closeness"])
+    def test_unequal_groups_in_one_set(self, n, edges, field, nodes):
+        # the node mean is 5/3; a mean over the two groups would read 2
+        g = build_graph(n, edges)
+        _, inverse, sizes = profile_groups(profile_matrix(g))
+        assert sorted(sizes[inverse[sorted(nodes)]].tolist()) == [1, 2, 2]
+        rec = run_trial(g, GRID19)
+        assert getattr(rec, f"{field}_set") == nodes
+        assert getattr(rec, f"rank_{field}_avg") == (5 / 3,) * len(GRID19)
+        self.assert_matches(g)
+
     def test_distinct_profiles_tie_at_half(self):
         g = build_graph(7, HALF_TIE_EDGES)
         rec = run_trial(g, GRID19)
@@ -179,14 +198,21 @@ class TestRanksAgainstBruteForce:
         self.assert_matches(g)
 
 
+def node_ranks(profiles, grid, members):
+    """:func:`decay_ranks` on the profile groups, read back per node."""
+    first, inverse, sizes = profile_groups(profiles)
+    rows = profiles[first]
+    return decay_ranks(decay_matrix(rows, grid), rows, sizes, grid.fractions(),
+                       inverse[list(members)])
+
+
 class TestRankOf:
     """Competition ranks as :func:`decay_ranks` and run_trial report them."""
 
     def test_exact_ties_share_rank(self, star4):
         pm = profile_matrix(star4)
         grid = DeltaGrid((0.4,))
-        dc = decay_matrix(pm, grid)
-        ranks = decay_ranks(dc, pm, _profile_group_ids(pm), grid.fractions(), range(4))
+        ranks = node_ranks(pm, grid, range(4))
         assert ranks[:, 0].tolist() == [1, 2, 2, 2]
         # distinct profiles that tie exactly at 1/2 share rank 1 as well
         rec = run_trial(build_graph(7, HALF_TIE_EDGES), GRID19)
@@ -235,13 +261,29 @@ class TestDecayRanks:
         grid = DeltaGrid((0.1, 0.5))
         dc = decay_matrix(rows, grid)
         assert dc[1, 0] > dc[0, 0] and dc[3, 0] == dc[4, 0]
-        ranks = decay_ranks(dc, rows, _profile_group_ids(rows), grid.fractions(), range(5))
+        ranks = node_ranks(rows, grid, range(5))
         for g, delta in enumerate(grid.values):
             x = Fraction(delta)
             value = [sum(int(c) * x**l for l, c in enumerate(row, 1)) for row in rows]
             want = [1 + sum(u > v for u in value) for v in value]
             assert ranks[:, g].tolist() == want
         assert ranks[:, 0].tolist() == [1, 2, 2, 4, 5]
+
+    def test_star_leaf_group_counts_its_size(self, star4):
+        # the three leaves form one group of size 3: the centre's rank is
+        # 1 and each leaf's is 2; ranked on a path's groups, the two
+        # neighbours of the centre (one group of size 2) put both ends at 4
+        pm = profile_matrix(star4)
+        first, inverse, sizes = profile_groups(pm)
+        assert sizes[inverse].tolist() == [1, 3, 3, 3]
+        rows = pm[first]
+        grid = DeltaGrid((0.25, 0.5, 0.75))
+        ranks = decay_ranks(decay_matrix(rows, grid), rows, sizes, grid.fractions(),
+                            [inverse[1], inverse[0]])
+        assert ranks.tolist() == [[2, 2, 2], [1, 1, 1]]
+        path = profile_matrix(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        assert node_ranks(path, grid, range(5)).tolist() == [
+            [4, 4, 4], [2, 2, 2], [1, 1, 1], [2, 2, 2], [4, 4, 4]]
 
 
 class TestRankCertification:
