@@ -389,16 +389,12 @@ def decay_argmax_sets(
     return tuple(out)
 
 
-def int_argmax_set(values: Sequence[int]) -> frozenset[int]:
-    """All indices attaining the maximum of an integer sequence."""
-    best = max(values)
-    return frozenset(i for i, v in enumerate(values) if v == best)
-
-
-def int_argmin_set(values: Sequence[int]) -> frozenset[int]:
-    """All indices attaining the minimum of an integer sequence."""
-    best = min(values)
-    return frozenset(i for i, v in enumerate(values) if v == best)
+def degree_closeness_winners(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the profile rows with the largest degree and of those with
+    the smallest farness (closeness ties are exact farness ties)."""
+    degrees = rows[:, 0]
+    farness = farness_vector(rows)
+    return degrees == degrees.max(), farness == farness.min()
 
 
 def maximizer_sets(
@@ -409,11 +405,11 @@ def maximizer_sets(
 ) -> MaximizerSets:
     """Compute all three maximizer families for a connected graph.
 
-    Degree and closeness winners come from exact integer comparisons
-    (closeness ties are exact farness ties); the per-delta decay winners use
-    the exact-confirmation path of :func:`decay_argmax_sets` on the
-    graph's distinct profiles, each winning profile standing for all of its
-    nodes.  ``profiles`` is the graph's :func:`profile_matrix` and ``dc``
+    Every family is found on the graph's distinct profiles, each winning
+    profile standing for all of its nodes.  Degree and closeness winners
+    come from exact integer comparisons (:func:`degree_closeness_winners`);
+    the per-delta decay winners use the exact-confirmation path of
+    :func:`decay_argmax_sets`.  ``profiles`` is the graph's :func:`profile_matrix` and ``dc``
     its :func:`decay_matrix` on ``grid``, when the caller has them already.
     """
     if profiles is None:
@@ -421,15 +417,14 @@ def maximizer_sets(
     if g.n == 1:
         only = frozenset((0,))
         return MaximizerSets(only, only, tuple(only for _ in grid.values))
-    degrees = profiles[:, 0].tolist()
-    farness = farness_vector(profiles).tolist()
     first, inverse, sizes = profile_groups(profiles)
     rows = profiles[first]
+    in_deg, in_clos = degree_closeness_winners(rows)
     dc = decay_matrix(rows, grid) if dc is None else dc[first]
     members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(sizes)[:-1])
     return MaximizerSets(
-        by_degree=int_argmax_set(degrees),
-        by_closeness=int_argmin_set(farness),
+        by_degree=frozenset(np.flatnonzero(in_deg[inverse]).tolist()),
+        by_closeness=frozenset(np.flatnonzero(in_clos[inverse]).tolist()),
         by_decay=tuple(
             frozenset(np.concatenate([members[k] for k in s]).tolist())
             for s in decay_argmax_sets(dc, rows, grid)

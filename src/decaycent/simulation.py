@@ -30,7 +30,6 @@ from .centrality import (
     dc_difference_sign,
     decay_error_bound,
     decay_matrix,
-    farness_vector,
     live_levels,
 )
 from .generation import (
@@ -42,7 +41,7 @@ from .generation import (
 )
 from .graph import Graph, profile_matrix
 from .io import with_envelope
-from .ordering import decay_argmax_sets, profile_groups
+from .ordering import decay_argmax_sets, degree_closeness_winners, profile_groups
 
 
 class AllTrialsFailedError(RuntimeError):
@@ -176,10 +175,7 @@ def run_trial(
     first, inverse, sizes = profile_groups(profiles)
     rows = profiles[first]
     rows = rows[:, : live_levels(rows)]
-    degrees = rows[:, 0]
-    farness = farness_vector(rows)
-    in_deg = degrees == degrees.max()
-    in_clos = farness == farness.min()
+    in_deg, in_clos = degree_closeness_winners(rows)
     deg_set = frozenset(np.flatnonzero(in_deg[inverse]).tolist())
     clos_set = frozenset(np.flatnonzero(in_clos[inverse]).tolist())
     deg_groups = frozenset(np.flatnonzero(in_deg).tolist())
