@@ -336,12 +336,43 @@ def dc_difference_float(
 
     ``L`` is the number of levels up to the last nonzero column.  The
     powers come from repeated multiplication and the sums from one
-    matrix-vector product; the bound, ``4*gamma_L*sum_l |d_l| delta**l``
-    (evaluated with the computed powers, ``gamma_L = L*u / (1 - L*u)``
-    with ``u`` the unit roundoff) plus ``2*L*(|d|_1 + 1)`` subnormal
-    spacings for underflow, is derived in
-    :func:`decaycent.ordering.decay_argmax_sets`.  A value above its bound
-    is certainly positive, one below minus its bound certainly negative.
+    matrix-vector product.  A value above its bound is certainly positive,
+    one below minus its bound certainly negative.
+
+    The bound is a derived forward-error bound.  With unit roundoff
+    ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)``, subnormal spacing
+    ``eta = 2**-1074`` and ``d`` one row, floating-point multiplication
+    obeys ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and
+    ``|t| <= eta`` (gradual underflow; additions whose result is subnormal
+    are exact, so they add no ``t``):
+
+    1. Powers: ``P_1 = delta`` is exact and ``P_l = fl(P_{l-1} * delta)``,
+       so by induction ``P_l = delta**l * (1 + th_l) + E_l`` with
+       ``|th_l| <= gamma_{l-1}`` and ``|E_l| <= (l-1)*eta`` (``delta < 1``
+       keeps old underflow errors from growing).  This is the error of the
+       powers; no library ``pow`` is involved.
+    2. Sum: the computed ``fl(sum_l d_l P_l)``, in any summation order and
+       with or without fused multiply-adds, is within
+       ``gamma_L * M + L*eta*(1 + gamma_L)`` of ``sum_l d_l P_l``, where
+       ``M = sum_l |d_l| P_l`` (Higham, *Accuracy and Stability of
+       Numerical Algorithms*, 2nd ed., sec. 3.1, with the underflow term of
+       his eq. (2.8)).  The integers ``d_l`` are exact in double.
+    3. Replacing the powers: ``|sum_l d_l (P_l - delta**l)| <=
+       gamma_{L-1}/(1 - gamma_{L-1}) * (M + |d|_1 (L-1) eta) +
+       |d|_1 (L-1) eta``.
+    4. ``M`` itself is computed as ``M^ = fl(sum_l |d_l| P_l)``, so
+       ``M <= (M^ + L*eta*(1 + gamma_L)) / (1 - gamma_L)``.
+
+    For ``gamma_L <= 1/100`` (``L`` below 10**13) the relative terms sum to
+    at most ``2.05 * gamma_L * M^`` and the absolute ones to at most
+    ``2*L*(|d|_1 + 1)*eta``.  The returned bound is
+    ``4 * gamma_L * M^ + 2*L*(|d|_1 + 1)*eta``: the spare factor covers the
+    three roundings made while evaluating it, and the absolute term is an
+    exact multiple of ``eta``.  The absolute term matters because powers
+    underflow: ``0.01**l`` is 0 for ``l`` past about 161, so on a long path
+    two central nodes whose profiles first differ that deep get a float
+    difference of 0 and a zero relative term.  Such a difference stays
+    uncertified, and the exact sign (:func:`dc_difference_sign`) decides it.
     """
     levels = live_levels(diffs)
     d = diffs[:, :levels].astype(np.float64)

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .centrality import DeltaGrid, centrality_table, dc_difference_coeffs, decay_matrix
-from .generation import DEFAULT_MAX_REJECTS, RejectionLimitError
+from .generation import RejectionLimitError
 from .graph import DisconnectedGraphError
 from .io import (
     GraphParseError,
@@ -147,9 +147,6 @@ def _resolve_sim_settings(args) -> tuple[SimulationConfig, str]:
         raise UsageError("simulate requires an explicit --seed; "
                          "implicit nondeterminism is not allowed")
     out_dir = settings.pop("out_dir")
-    settings.setdefault("grid_points", 99)
-    settings.setdefault("workers", 1)
-    settings.setdefault("max_rejects", DEFAULT_MAX_REJECTS)
     return SimulationConfig(**settings), out_dir
 
 

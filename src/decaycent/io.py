@@ -98,10 +98,6 @@ def edgelist_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json_dict(g: Graph) -> dict[str, Any]:
-    return {"n": g.n, "edges": g.edges.tolist()}
-
-
 def graph_from_json_dict(data: Any, name: str = "<json>") -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphParseError(f"{name}: expected an object with 'n' and 'edges'")
@@ -141,10 +137,6 @@ def read_graph(path: str | Path, fmt: str = "auto") -> Graph:
 
 def write_edgelist(g: Graph, path: str | Path) -> None:
     Path(path).write_text(edgelist_text(g))
-
-
-def write_graph_json(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_json_dict(g), indent=2) + "\n")
 
 
 def fmt_float(x: float) -> str:

@@ -267,49 +267,28 @@ def profile_groups(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return order[heads], inverse, np.diff(heads, append=n)
 
 
-def exact_argmax_nodes(
-    candidates: Sequence[int],
-    profiles: np.ndarray,
-    delta: Fraction,
-) -> list[int]:
-    """Exact decay argmax among candidate rows at one rational delta.
+def decay_signs(
+    rows: np.ndarray,
+    ks: np.ndarray,
+    h: int,
+    delta: float,
+    frac: Fraction,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact signs of ``DC_k - DC_h`` at one grid point for the profile
+    rows ``ks`` against row ``h``, with the float differences.
 
-    Every candidate is compared with the current leader by the exact
-    integer sign of the polynomial difference, so identical rows tie and a
-    crossing that lands exactly on the grid point yields a genuine
-    multi-profile tie.  Returns sorted row ids.
+    ``delta`` is the grid value and ``frac`` its exact :class:`Fraction`.
+    Each row's difference polynomial is evaluated in floats with a
+    certified error bound (:func:`dc_difference_float`); a row whose value
+    lies within its bound of zero gets the exact rational sign
+    (:func:`dc_difference_sign`), so exact ties stay exact.  Returns the
+    signs (-1, 0 or 1) and the float differences, both aligned with ``ks``.
     """
-    cands = sorted(int(v) for v in candidates)
-    best = [cands[0]]
-    for v in cands[1:]:
-        s = dc_difference_sign(profiles[v], profiles[best[0]], delta)
-        if s > 0:
-            best = [v]
-        elif s == 0:
-            best.append(v)
-    return best
-
-
-def _float_survivors(rows: np.ndarray, values: np.ndarray, delta: float) -> np.ndarray:
-    """Indices of the profile rows that the certified float comparison
-    cannot rule out as decay maximizers at ``delta``.
-
-    ``values`` are the rows' decay values.  Every other row is compared
-    with the current leader (first the float maximum) through
-    :func:`dc_difference_float`: rows certainly below it are dropped, and a
-    row certainly above it becomes the leader, dropping the old one.  The
-    leader comes first in the result; the rest are the uncertified rows.
-    """
-    alive = np.arange(len(rows))
-    lead = int(np.argmax(values))
-    while True:
-        others = alive[alive != lead]
-        diff, bound = dc_difference_float(rows[others] - rows[lead], delta)
-        above = diff > bound
-        alive = others[diff >= -bound]
-        if not above.any():
-            return np.concatenate(([lead], alive))
-        lead = int(others[np.argmax(np.where(above, diff, -np.inf))])
+    diff, bound = dc_difference_float(rows[ks] - rows[h], delta)
+    signs = np.where(diff > bound, 1, np.where(diff < -bound, -1, 0))
+    for t in np.flatnonzero(np.abs(diff) <= bound).tolist():
+        signs[t] = dc_difference_sign(rows[ks[t]], rows[h], frac)
+    return signs, diff
 
 
 def decay_argmax_sets(
@@ -322,54 +301,16 @@ def decay_argmax_sets(
     ``rows`` are profile rows, normally the distinct profiles of one graph
     (its profile groups, :func:`profile_groups`), and ``dc`` is
     ``decay_matrix(rows, grid)``; the sets hold row ids.  Rows that repeat
-    are allowed and tie through the exact sign.  At each grid point the
-    candidates are the rows whose value interval ``dc +- err``
-    (:func:`decay_error_bound`) reaches the largest lower end
-    ``max(dc - err)``; no exact maximizer lies outside.  When there is
-    more than one candidate, each candidate's difference polynomial to the
-    current leader, ``p(delta) = sum_l d_l delta**l`` with
-    ``d = c_g - c_lead``, is evaluated directly in floats
-    (:func:`_float_survivors`); rows certainly below the leader drop out,
-    and only those the float value cannot separate from the leader go to
-    the exact rational comparison (:func:`exact_argmax_nodes`), so exact
-    ties stay exact.
-
-    The difference certificate is a derived forward-error bound, like the
-    window.  With unit roundoff ``u = 2**-53``,
-    ``gamma_k = k*u / (1 - k*u)``, subnormal spacing ``eta = 2**-1074``
-    and ``L`` the number of levels up to the last nonzero ``d_l``,
-    floating-point multiplication obeys
-    ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and ``|t| <= eta``
-    (gradual underflow; additions whose result is subnormal are exact, so
-    they add no ``t``):
-
-    1. Powers: ``P_1 = delta`` is exact and ``P_l = fl(P_{l-1} * delta)``,
-       so by induction ``P_l = delta**l * (1 + th_l) + E_l`` with
-       ``|th_l| <= gamma_{l-1}`` and ``|E_l| <= (l-1)*eta`` (``delta < 1``
-       keeps old underflow errors from growing).  This is the error of the
-       powers; no library ``pow`` is involved.
-    2. Sum: the computed ``fl(sum_l d_l P_l)``, in any summation order and
-       with or without fused multiply-adds, is within
-       ``gamma_L * M + L*eta*(1 + gamma_L)`` of ``sum_l d_l P_l``, where
-       ``M = sum_l |d_l| P_l`` (Higham, *Accuracy and Stability of
-       Numerical Algorithms*, 2nd ed., sec. 3.1, with the underflow term of
-       his eq. (2.8)).  The integers ``d_l`` are exact in double.
-    3. Replacing the powers: ``|sum_l d_l (P_l - delta**l)| <=
-       gamma_{L-1}/(1 - gamma_{L-1}) * (M + |d|_1 (L-1) eta) +
-       |d|_1 (L-1) eta``.
-    4. ``M`` itself is computed as ``M^ = fl(sum_l |d_l| P_l)``, so
-       ``M <= (M^ + L*eta*(1 + gamma_L)) / (1 - gamma_L)``.
-
-    For ``gamma_L <= 1/100`` (``L`` below 10**13) the relative terms sum to
-    at most ``2.05 * gamma_L * M^`` and the absolute ones to at most
-    ``2*L*(|d|_1 + 1)*eta``.  :func:`dc_difference_float` uses
-    ``4 * gamma_L * M^ + 2*L*(|d|_1 + 1)*eta``: the spare factor covers the
-    three roundings made while evaluating the bound, and the absolute term
-    is an exact multiple of ``eta``.  The absolute term matters because
-    powers underflow: ``0.01**l`` is 0 for ``l`` past about 161, so on a
-    long path two central nodes whose profiles first differ that deep get a
-    float difference of 0 and a zero relative term.  Such a difference
-    stays uncertified, and the exact comparison decides it.
+    are allowed and tie exactly.  At each grid point the candidates are
+    the rows whose value interval ``dc +- err`` (:func:`decay_error_bound`)
+    reaches the largest lower end ``max(dc - err)``; no exact maximizer
+    lies outside, and a column with one candidate is settled.  Otherwise
+    the leader starts at the candidate with the largest float value, and
+    every other candidate is compared with it exactly (:func:`decay_signs`).
+    While some candidates are above the leader, only they stay, and the
+    leader moves to the one with the largest float difference (the float
+    values themselves cannot order a long path's centre rows).  The set is
+    the leader and the candidates that tie with it.
     """
     fracs = grid.fractions()
     out: list[frozenset[int]] = []
@@ -382,10 +323,16 @@ def decay_argmax_sets(
             out.append(frozenset((first_reach[g],)))
             continue
         cand = np.flatnonzero(reach[:, g])
-        keep = cand[_float_survivors(rows[cand], dc[cand, g], delta)].tolist()
-        if len(keep) > 1:
-            keep = exact_argmax_nodes(keep, rows, fracs[g])
-        out.append(frozenset(keep))
+        lead = cand[np.argmax(dc[cand, g])]
+        while True:
+            cand = cand[cand != lead]
+            signs, diff = decay_signs(rows, cand, lead, delta, fracs[g])
+            above = signs > 0
+            if not above.any():
+                break
+            cand = cand[above]
+            lead = cand[np.argmax(diff[above])]
+        out.append(frozenset((int(lead), *cand[signs == 0].tolist())))
     return tuple(out)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .centrality import (
     DeltaGrid,
-    dc_difference_float,
+    # unused here: kept only as a lookup site of perfbench/tracing.py's COUNTED
     dc_difference_sign,
     decay_error_bound,
     decay_matrix,
@@ -41,7 +41,12 @@ from .generation import (
 )
 from .graph import Graph, profile_matrix
 from .io import with_envelope
-from .ordering import decay_argmax_sets, degree_closeness_winners, profile_groups
+from .ordering import (
+    decay_argmax_sets,
+    decay_signs,
+    degree_closeness_winners,
+    profile_groups,
+)
 
 
 class AllTrialsFailedError(RuntimeError):
@@ -108,12 +113,9 @@ def decay_ranks(
     exactly, so a greater group counts with its size.  One member group is
     ranked at a time, so memory stays at ``O(K * (grid + levels))``.  A
     group counts as greater when its value interval ``dc +- err``
-    (:func:`decay_error_bound`) lies wholly above the member group's.
-    Groups whose intervals overlap it are compared one grid column at a
-    time through their difference polynomial to the member group
-    (:func:`dc_difference_float`, as in
-    :func:`decaycent.ordering.decay_argmax_sets`); only those that
-    comparison cannot certify go to the exact rational sign.
+    (:func:`decay_error_bound`) lies wholly above the member group's; the
+    groups whose intervals overlap it are compared one grid column at a
+    time by their exact sign (:func:`decaycent.ordering.decay_signs`).
     """
     err = decay_error_bound(dc, rows)
     lo, hi = dc - err, dc + err
@@ -125,11 +127,8 @@ def decay_ranks(
         ranks[r] = 1 + sizes @ above
         for g in np.flatnonzero(near.any(axis=0)).tolist():
             ks = np.flatnonzero(near[:, g])
-            diff, bound = dc_difference_float(rows[ks] - rows[h], float(fracs[g]))
-            greater = diff > bound
-            for t in np.flatnonzero(np.abs(diff) <= bound).tolist():
-                greater[t] = dc_difference_sign(rows[ks[t]], rows[h], fracs[g]) > 0
-            ranks[r, g] += sizes[ks] @ greater
+            signs, _ = decay_signs(rows, ks, h, float(fracs[g]), fracs[g])
+            ranks[r, g] += sizes[ks] @ (signs > 0)
     return ranks
 
 

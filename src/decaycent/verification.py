@@ -34,7 +34,6 @@ from .ordering import (
     check_high_delta_conditions,
     check_low_delta_conditions,
     check_profile_dominance,
-    exact_argmax_nodes,
     lex_compare,
     lex_compare_cvec,
     ud_compare,
@@ -338,6 +337,19 @@ def cvec_sort_key(fvec: Sequence[int]) -> tuple:
     return tuple(((f > 0) - (f < 0), -f) for f in fvec)
 
 
+def exact_decay_argmax(profiles, delta: float | Fraction) -> frozenset[int]:
+    """Brute-force argmax: every row's decay value as an exact fraction
+    ``delta = p / q``, scaled by the common denominator ``q**L``."""
+    frac = Fraction(delta)
+    p, q = frac.numerator, frac.denominator
+    rows = [[int(c) for c in row] for row in profiles]
+    levels = len(rows[0])
+    weights = [p**l * q ** (levels - l) for l in range(1, levels + 1)]
+    scaled = [sum(c * w for c, w in zip(row, weights) if c) for row in rows]
+    best = max(scaled)
+    return frozenset(i for i, v in enumerate(scaled) if v == best)
+
+
 def check_limit_orderings(
     graphs: Sequence[Graph],
     low_delta: float = 1e-6,
@@ -347,8 +359,6 @@ def check_limit_orderings(
     lexicographic winners: by distance profile at the low end and by the
     reciprocal farness view at the high end."""
     res = PropertyResult(name="limit-orderings", cases=0)
-    lo = Fraction(low_delta)
-    hi = Fraction(high_delta)
     for g in graphs:
         res.cases += 1
         pm = profile_matrix(g)
@@ -358,8 +368,8 @@ def check_limit_orderings(
         keys = [cvec_sort_key(fvec_from_counts(r)) for r in rows]
         best_key = max(keys)
         lexmax_high = {i for i, k in enumerate(keys) if k == best_key}
-        argmax_low = set(exact_argmax_nodes(range(g.n), pm, lo))
-        argmax_high = set(exact_argmax_nodes(range(g.n), pm, hi))
+        argmax_low = exact_decay_argmax(pm, low_delta)
+        argmax_high = exact_decay_argmax(pm, high_delta)
         if argmax_low != lexmax_low:
             res.record(
                 graph=_edge_dump(g), delta=low_delta,

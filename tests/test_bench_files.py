@@ -10,6 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from decaycent.centrality import DeltaGrid
+from decaycent.graph import build_graph
+from decaycent.ordering import maximizer_sets
+from decaycent.simulation import run_trial
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
@@ -59,3 +64,18 @@ def test_tracer_lookup_sites_exist():
     missing = [f"{path}.{attr}" for path, attr in sites
                if attr not in vars(tracing._resolve(path))]
     assert not missing
+
+
+def test_tracer_counts_exact_signs():
+    # the frozen n=7 graph whose two profiles tie exactly at delta = 1/2
+    # needs the exact sign in both the trial and the maximizer sets; if
+    # those calls moved to a lookup site the tracer does not count, the
+    # benchmark's ordering.exact_sign_calls would read 0
+    g = build_graph(7, [(0, 2), (1, 4), (2, 5), (2, 6), (3, 4), (4, 5)])
+    grid = DeltaGrid.uniform(19)
+    tracer = load_bench_module("tracing").Tracer()
+    with tracer.installed():
+        run_trial(g, grid)
+        after_trial = tracer.exact_calls
+        maximizer_sets(g, grid)
+    assert 0 < after_trial < tracer.exact_calls

@@ -24,13 +24,14 @@ from decaycent.ordering import (
     check_low_delta_conditions,
     check_profile_dominance,
     decay_argmax_sets,
+    decay_signs,
     lex_compare,
     lex_compare_cvec,
     maximizer_sets,
     profile_groups,
     ud_compare,
 )
-from decaycent.verification import sample_graphs
+from decaycent.verification import exact_decay_argmax, sample_graphs
 
 from conftest import CROSSING_PAIR, oracle_decay
 
@@ -366,19 +367,6 @@ class TestProfileGroups:
             self.assert_matches_unique(profile_matrix(g))
 
 
-def exact_decay_argmax(profiles, delta: float) -> frozenset[int]:
-    """Brute-force argmax: every node's decay value as an exact fraction
-    ``delta = p / q``, scaled by the common denominator ``q**L``."""
-    frac = Fraction(delta)
-    p, q = frac.numerator, frac.denominator
-    rows = [[int(c) for c in row] for row in profiles]
-    levels = len(rows[0])
-    weights = [p**l * q ** (levels - l) for l in range(1, levels + 1)]
-    scaled = [sum(c * w for c, w in zip(row, weights) if c) for row in rows]
-    best = max(scaled)
-    return frozenset(i for i, v in enumerate(scaled) if v == best)
-
-
 def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -421,8 +409,10 @@ class TestCertifiedFilter:
         # at delta = 0.1 the float difference row 1 - row 0 is +7e-14 but
         # the exact one is -3e-13: both rows must reach the exact comparison
         rows = np.array([[11190, 0, 6740160], [0, 785916, 0]], dtype=np.int64)
-        keep = ordering._float_survivors(rows, np.array([1.0, 0.0]), 0.1)
-        assert sorted(keep.tolist()) == [0, 1]
+        value, bound = dc_difference_float(rows[1:] - rows[:1], 0.1)
+        assert 0 < value[0] <= bound[0]
+        signs, _ = decay_signs(rows, np.array([1]), 0, 0.1, Fraction(0.1))
+        assert signs.tolist() == [-1]
         grid = DeltaGrid((0.1,))
         sets = decay_argmax_sets(decay_matrix(rows, grid), rows, grid)
         assert sets == (exact_decay_argmax(rows, 0.1),) == (frozenset({0}),)
@@ -439,18 +429,26 @@ class TestCertifiedFilter:
         assert sets == (exact_decay_argmax(rows, 0.1),) == (frozenset({0}),)
 
     def test_path_needs_no_exact_comparison(self, monkeypatch):
-        # every near-tie on P_200 is separated by the certified floats
-        calls = []
-        original = ordering.dc_difference_sign
+        # every near-tie on P_200 is separated by the certified floats; the
+        # leader moves to the largest float difference above it, since the
+        # float decay values cannot separate the centre groups and a leader
+        # chosen by them walks the overlapping candidates one by one
+        calls = {"dc_difference_sign": 0, "dc_difference_float": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(name):
+            original = getattr(ordering, name)
 
-        monkeypatch.setattr(ordering, "dc_difference_sign", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ordering, name, counted(name))
         ms = maximizer_sets(path_graph(200), DeltaGrid.uniform(99))
         assert all(s == frozenset({99, 100}) for s in ms.by_decay)
-        assert calls == []
+        assert calls["dc_difference_sign"] == 0
+        assert calls["dc_difference_float"] <= 267
 
 
 def exact_difference(diff, delta: float) -> Fraction:
@@ -462,12 +460,20 @@ class TestDifferenceBound:
     """|float difference - exact difference| <= the stated bound."""
 
     def assert_within_bound(self, profiles, pairs, deltas):
+        # decay_signs on the same pairs, grouped by their second row, must
+        # return the signs of the exact differences
         for delta in deltas:
             diffs = np.array([profiles[i] - profiles[j] for i, j in pairs])
             values, bounds = dc_difference_float(diffs, delta)
-            for diff, value, bound in zip(diffs, values, bounds):
-                error = abs(Fraction(float(value)) - exact_difference(diff, delta))
+            exact = [exact_difference(diff, delta) for diff in diffs]
+            for diff, value, bound, want in zip(diffs, values, bounds, exact):
+                error = abs(Fraction(float(value)) - want)
                 assert error <= Fraction(float(bound)), (diff.tolist(), delta)
+            for h in {j for _, j in pairs}:
+                at = [t for t, (_, j) in enumerate(pairs) if j == h]
+                ks = np.array([pairs[t][0] for t in at])
+                signs, _ = decay_signs(profiles, ks, h, delta, Fraction(delta))
+                assert signs.tolist() == [(exact[t] > 0) - (exact[t] < 0) for t in at]
 
     def test_all_pairs_of_sampled_graphs(self):
         deltas = (0.01, 0.1, 0.25, 0.5, 0.73, 0.9, 0.99)
@@ -490,6 +496,12 @@ class TestDifferenceBound:
         values, bounds = dc_difference_float(profiles[[170]] - profiles[[199]], 0.01)
         assert values[0] == 0.0 < bounds[0]
         self.assert_within_bound(np.array([[0, 0, 1], [0, 0, 0]]), [(0, 1)], (1e-150,))
+
+    def test_one_ulp_rows(self):
+        # decay_matrix puts row 1 one ulp above row 0 at delta = 0.1; the
+        # exact difference has row 0 above by 3.5e-13
+        rows = np.array([[13589, 0, 7685170], [0, 904407, 0]], dtype=np.int64)
+        self.assert_within_bound(rows, [(0, 1), (1, 0)], (0.1,))
 
     def test_bound_is_tight_enough_to_certify(self):
         # a difference of 1e-300 is still certified positive

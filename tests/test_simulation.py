@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decaycent import simulation
+from decaycent import ordering, simulation
 from decaycent.centrality import DeltaGrid, decay_matrix
 from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph, profile_matrix
@@ -292,8 +292,8 @@ class TestRankCertification:
         # their certified float differences settle them without the exact
         # sign, and the record equals the one where every overlap is exact
         path = build_graph(80, [(i, i + 1) for i in range(79)])
-        exact_sign = simulation.dc_difference_sign
-        float_difference = simulation.dc_difference_float
+        exact_sign = ordering.dc_difference_sign
+        float_difference = ordering.dc_difference_float
         calls = []
 
         def counting_sign(*args):
@@ -304,11 +304,11 @@ class TestRankCertification:
             values, bound = float_difference(diffs, delta)
             return values, np.full_like(bound, np.inf)
 
-        monkeypatch.setattr(simulation, "dc_difference_sign", counting_sign)
+        monkeypatch.setattr(ordering, "dc_difference_sign", counting_sign)
         shipped = run_trial(path, DeltaGrid.uniform(99), p=1.0)
         certified_calls = len(calls)
         calls.clear()
-        monkeypatch.setattr(simulation, "dc_difference_float", no_certificate)
+        monkeypatch.setattr(ordering, "dc_difference_float", no_certificate)
         forced = run_trial(path, DeltaGrid.uniform(99), p=1.0)
         assert shipped == forced
         assert len(calls) > 1000
