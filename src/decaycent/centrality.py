@@ -114,44 +114,6 @@ def decay_matrix(profiles: np.ndarray, grid: DeltaGrid) -> np.ndarray:
     return acc * deltas
 
 
-def decay_error_bound(dc: np.ndarray, profiles: np.ndarray) -> np.ndarray:
-    """Bound on the absolute error of every entry of
-    ``dc = decay_matrix(profiles, grid)``: the exact decay value lies in
-    ``[dc - err, dc + err]``.
-
-    ``err = 2*gamma_{2L+1}*dc + 2*(L+1)*eta``, with ``L`` the live levels,
-    unit roundoff ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)`` and
-    subnormal spacing ``eta = 2**-1074``.  Floating-point multiplication
-    obeys ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and
-    ``|t| <= eta`` (gradual underflow), addition ``fl(x+y) = (x+y)*(1 + e)``,
-    and the counts are exact in double.
-
-    1. Without underflow, Horner's scheme (``L`` multiply-and-add steps,
-       the first on a zero accumulator, then the final ``* delta``) returns
-       ``sum_l c_l delta**l (1 + th_l)`` with ``|th_l| <= gamma_{2L-1}``
-       (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-       sec. 5.1).  Counts and ``delta`` are nonnegative, so
-       ``sum_l |c_l| delta**l`` is the exact value ``v`` itself and
-       ``|dc - v| <= gamma_{2L-1} * v``.
-    2. Each of the ``L`` multiplications that can underflow adds one ``t``,
-       which the later steps scale by at most ``1 + gamma_{2L}``
-       (``delta < 1``): at most ``L*eta*(1 + gamma_{2L})`` in all.
-    3. ``v <= (dc + L*eta*(1 + gamma_{2L})) / (1 - gamma_{2L-1})``; for
-       ``gamma_{2L+1} <= 1/100`` the error is therefore at most
-       ``1.02*gamma_{2L-1}*dc + 1.03*L*eta``.
-
-    The spare room (at least ``0.98*gamma_{2L+1}*dc >= 2.9*u*dc`` and
-    ``L*eta``) covers the roundings made while computing ``err`` and while
-    forming ``dc + err`` or ``dc - err``, so the computed intervals still
-    hold the exact values.  The absolute term matters for rows with
-    leading zero counts, whose powers of a small ``delta`` underflow.
-    """
-    levels = live_levels(profiles)
-    ku = (2 * levels + 1) * UNIT_ROUNDOFF
-    gamma = ku / (1.0 - ku)
-    return 2.0 * gamma * dc + 2 * (levels + 1) * SUBNORMAL_SPACING
-
-
 def farness_vector(profiles: np.ndarray) -> np.ndarray:
     """Farness of every row of a profile matrix (exact int64 dot product)."""
     return profiles @ np.arange(1, profiles.shape[1] + 1, dtype=np.int64)
@@ -329,20 +291,21 @@ def dc_difference_sign(
 
 
 def dc_difference_float(
-    diffs: np.ndarray, delta: float
+    diffs: np.ndarray, deltas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float values of ``sum_l diffs[r, l-1] * delta**l`` for every row ``r``
-    of an integer array, with a bound on each value's absolute error.
+    of an integer array and every ``delta`` of ``deltas``, with a bound on
+    each value's absolute error; both have shape ``(rows, len(deltas))``.
 
     ``L`` is the number of levels up to the last nonzero column.  The
-    powers come from repeated multiplication and the sums from one
-    matrix-vector product.  A value above its bound is certainly positive,
-    one below minus its bound certainly negative.
+    powers of each ``delta`` come from repeated multiplication and the
+    sums from one matrix product.  A value above its bound is certainly
+    positive, one below minus its bound certainly negative.
 
-    The bound is a derived forward-error bound.  With unit roundoff
-    ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)``, subnormal spacing
-    ``eta = 2**-1074`` and ``d`` one row, floating-point multiplication
-    obeys ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and
+    The bound is a derived forward-error bound, for each ``delta`` on its
+    own.  With unit roundoff ``u = 2**-53``, ``gamma_k = k*u / (1 - k*u)``,
+    subnormal spacing ``eta = 2**-1074`` and ``d`` one row, floating-point
+    multiplication obeys ``fl(x*y) = x*y*(1 + e) + t`` with ``|e| <= u`` and
     ``|t| <= eta`` (gradual underflow; additions whose result is subnormal
     are exact, so they add no ``t``):
 
@@ -376,10 +339,10 @@ def dc_difference_float(
     """
     levels = live_levels(diffs)
     d = diffs[:, :levels].astype(np.float64)
-    powers = np.cumprod(np.full(levels, delta, dtype=np.float64))
+    powers = np.cumprod(np.full((levels, len(deltas)), deltas, dtype=np.float64), axis=0)
     values = d @ powers
     magnitude = np.abs(d) @ powers
     lu = levels * UNIT_ROUNDOFF
     gamma = lu / (1.0 - lu)
     underflow = (2 * levels) * (np.abs(diffs).sum(axis=1) + 1) * SUBNORMAL_SPACING
-    return values, 4.0 * gamma * magnitude + underflow
+    return values, 4.0 * gamma * magnitude + underflow[:, None]

@@ -180,7 +180,7 @@ def _cmd_compute(args) -> int:
     grid = DeltaGrid.uniform(args.grid_points)
     table = _connected_table(g, args.graph)
     dc = table.decay_values(grid)
-    sets = maximizer_sets(g, grid, profiles=table.counts, dc=dc)
+    sets = maximizer_sets(g, grid, profiles=table.counts)
     csv_text = centrality_csv(table, grid, dc)
     if args.out:
         Path(args.out).write_text(csv_text)

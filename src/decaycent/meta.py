@@ -44,9 +44,10 @@ def conventions() -> dict[str, str]:
         ),
         "ties": (
             "decay values are tied only when exact rational evaluation says so; "
-            "floats only pre-filter: each float value carries a derived forward-"
-            "error bound of Horner's scheme, and values whose bounded intervals "
-            "overlap go to the exact check"
+            "a node whose cumulative distance profile dominates another's is "
+            "ordered above it without arithmetic; other pairs compare by a float "
+            "difference with a derived forward-error bound, and differences "
+            "within the bound get the exact sign"
         ),
         "percentile": "nearest-rank on the sorted per-trial sample",
         "grid": "uniform interior points i/(points+1), never 0 or 1",

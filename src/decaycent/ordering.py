@@ -29,12 +29,16 @@ from .centrality import (
     DeltaGrid,
     dc_difference_float,
     dc_difference_sign,
-    decay_error_bound,
     decay_matrix,
     farness_vector,
     live_levels,
 )
 from .graph import Graph, profile_matrix
+
+#: Element budget of one :func:`decay_ranks` block: groups x block members
+#: x max(levels, grid) stays below it, which bounds the block's dominance
+#: masks and its incomparable pairs' difference arrays (about 8 MB each).
+RANK_BLOCK = 1 << 20
 
 
 class Relation(str, Enum):
@@ -267,73 +271,130 @@ def profile_groups(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return order[heads], inverse, np.diff(heads, append=n)
 
 
+def dominance_front(rows: np.ndarray) -> np.ndarray:
+    """Ids, ascending, of the profile rows that no row strictly dominates.
+
+    Row ``k`` strictly dominates row ``h`` when its cumulative profile is
+    ``>=`` at every level and ``>`` at one.  With ``P_l`` the prefix sums
+    of ``rows[k] - rows[h]`` over ``L`` levels,
+    ``DC_k - DC_h = P_L delta**L + (1 - delta) sum_{l<L} P_l delta**l``,
+    so a strictly dominated row is below at every delta in (0, 1) and is
+    never a decay maximizer.  Equal rows do not dominate each other: they
+    stay and tie.  The rows are sorted lexicographically descending on
+    their cumulative profiles, where no row can dominate one before it;
+    the first live row joins the front and drops every row it dominates.
+    Dominance is transitive, so each row is compared with front rows only.
+    """
+    cum = np.cumsum(rows, axis=1)
+    live = np.lexsort(cum.T[::-1])[::-1]
+    in_front = np.zeros(len(rows), dtype=bool)
+    while len(live):
+        top, live = live[0], live[1:]
+        in_front[top] = True
+        rest = cum[live]
+        dominated = (cum[top] >= rest).all(axis=1) & (cum[top] > rest).any(axis=1)
+        live = live[~dominated]
+    return np.flatnonzero(in_front)
+
+
 def decay_signs(
     rows: np.ndarray,
     ks: np.ndarray,
-    h: int,
-    delta: float,
-    frac: Fraction,
+    hs: np.ndarray | int,
+    deltas: Sequence[float],
+    fracs: Sequence[Fraction],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact signs of ``DC_k - DC_h`` at one grid point for the profile
-    rows ``ks`` against row ``h``, with the float differences.
+    """Exact signs of ``DC_k - DC_h`` for the profile rows ``ks`` against
+    the rows ``hs`` (one row, or one per ``k``) at every grid value, with
+    the float differences; both have shape ``(len(ks), len(deltas))``.
 
-    ``delta`` is the grid value and ``frac`` its exact :class:`Fraction`.
-    Each row's difference polynomial is evaluated in floats with a
-    certified error bound (:func:`dc_difference_float`); a row whose value
-    lies within its bound of zero gets the exact rational sign
-    (:func:`dc_difference_sign`), so exact ties stay exact.  Returns the
-    signs (-1, 0 or 1) and the float differences, both aligned with ``ks``.
+    ``fracs`` are the exact :class:`Fraction` values of ``deltas``.  Each
+    difference polynomial is evaluated in floats with a certified error
+    bound (:func:`dc_difference_float`); a value within its bound of zero
+    gets the exact rational sign (:func:`dc_difference_sign`), so exact
+    ties stay exact.  Signs are -1, 0 or 1.
     """
-    diff, bound = dc_difference_float(rows[ks] - rows[h], delta)
-    signs = np.where(diff > bound, 1, np.where(diff < -bound, -1, 0))
-    for t in np.flatnonzero(np.abs(diff) <= bound).tolist():
-        signs[t] = dc_difference_sign(rows[ks[t]], rows[h], frac)
+    diff, bound = dc_difference_float(rows[ks] - rows[hs], deltas)
+    signs = np.sign(diff).astype(np.int64)
+    hs = np.full(len(ks), hs)
+    for t, g in zip(*(np.abs(diff) <= bound).nonzero()):
+        signs[t, g] = dc_difference_sign(rows[ks[t]], rows[hs[t]], fracs[g])
     return signs, diff
 
 
-def decay_argmax_sets(
-    dc: np.ndarray,
-    rows: np.ndarray,
-    grid: DeltaGrid,
-) -> tuple[frozenset[int], ...]:
-    """Decay argmax set at every grid point, decided exactly.
+def decay_argmax_sets(rows: np.ndarray, grid: DeltaGrid) -> tuple[frozenset[int], ...]:
+    """Decay argmax set of the profile rows at every grid point, decided
+    exactly; the sets hold row ids.
 
-    ``rows`` are profile rows, normally the distinct profiles of one graph
-    (its profile groups, :func:`profile_groups`), and ``dc`` is
-    ``decay_matrix(rows, grid)``; the sets hold row ids.  Rows that repeat
-    are allowed and tie exactly.  At each grid point the candidates are
-    the rows whose value interval ``dc +- err`` (:func:`decay_error_bound`)
-    reaches the largest lower end ``max(dc - err)``; no exact maximizer
-    lies outside, and a column with one candidate is settled.  Otherwise
-    the leader starts at the candidate with the largest float value, and
-    every other candidate is compared with it exactly (:func:`decay_signs`).
-    While some candidates are above the leader, only they stay, and the
-    leader moves to the one with the largest float difference (the float
-    values themselves cannot order a long path's centre rows).  The set is
-    the leader and the candidates that tie with it.
+    ``rows`` are normally the distinct profiles of one graph (its profile
+    groups, :func:`profile_groups`); rows that repeat are allowed and tie
+    exactly.  Only the rows of the :func:`dominance_front` can win.  Each
+    column's float leader among them is compared with the other front rows
+    exactly (:func:`decay_signs`, one call per leader over its columns);
+    where all are below, the leader wins alone.  Otherwise, while some
+    candidates are above the leader, only they stay, and the leader moves
+    to the one with the largest float difference (the float values
+    themselves cannot order a long path's centre rows).  The set is the
+    leader and the candidates that tie with it.
     """
-    fracs = grid.fractions()
-    out: list[frozenset[int]] = []
-    err = decay_error_bound(dc, rows)
-    reach = dc + err >= (dc - err).max(axis=0)
-    single = (reach.sum(axis=0) == 1).tolist()
-    first_reach = reach.argmax(axis=0).tolist()
-    for g, delta in enumerate(grid.values):
-        if single[g]:
-            out.append(frozenset((first_reach[g],)))
+    deltas = np.asarray(grid.values)
+    fracs = np.array(grid.fractions(), dtype=object)
+    front = dominance_front(rows)
+    leaders = front[decay_matrix(rows[front], grid).argmax(axis=0)]
+    out = [frozenset((lead,)) for lead in leaders.tolist()]
+    for lead in set(leaders.tolist()):
+        others = front[front != lead]
+        if not len(others):
             continue
-        cand = np.flatnonzero(reach[:, g])
-        lead = cand[np.argmax(dc[cand, g])]
-        while True:
-            cand = cand[cand != lead]
-            signs, diff = decay_signs(rows, cand, lead, delta, fracs[g])
-            above = signs > 0
-            if not above.any():
-                break
-            cand = cand[above]
-            lead = cand[np.argmax(diff[above])]
-        out.append(frozenset((int(lead), *cand[signs == 0].tolist())))
+        cols = np.flatnonzero(leaders == lead)
+        signs, diff = decay_signs(rows, others, lead, deltas[cols], fracs[cols])
+        for j in np.flatnonzero((signs >= 0).any(axis=0)).tolist():
+            g, cand, best, s, d = cols[j], others, lead, signs[:, j], diff[:, j]
+            while (s > 0).any():
+                cand = cand[s > 0]
+                best = cand[np.argmax(d[s > 0])]
+                cand = cand[cand != best]
+                s, d = decay_signs(rows, cand, best, deltas[g:g + 1], fracs[g:g + 1])
+                s, d = s[:, 0], d[:, 0]
+            out[g] = frozenset((int(best), *cand[s == 0].tolist()))
     return tuple(out)
+
+
+def decay_ranks(
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    grid: DeltaGrid,
+    members: Sequence[int],
+) -> np.ndarray:
+    """Competition ranks ``1 + #{u : DC_u > DC_v}`` of the nodes ``v`` of
+    each member group at every grid point, shape
+    ``(len(members), len(grid))``.
+
+    ``rows`` are a graph's distinct profiles (its profile groups, with
+    ``sizes[k]`` nodes in group ``k``) and ``members`` are group ids.
+    Nodes of one group tie exactly, so a greater group counts with its
+    size.  A group whose cumulative profile strictly dominates the member
+    group's is greater at every delta, and a dominated one never is
+    (:func:`dominance_front`); the incomparable pairs are compared
+    exactly, in one :func:`decay_signs` call per block of members.  Blocks
+    are sized by :data:`RANK_BLOCK`, so memory stays bounded when many
+    groups are members; one block usually covers them all.
+    """
+    members = np.asarray(members, dtype=np.intp)
+    cum = np.cumsum(rows, axis=1)
+    ranks = np.empty((len(members), len(grid)), dtype=np.int64)
+    step = max(1, RANK_BLOCK // (len(rows) * max(rows.shape[1], len(grid))))
+    for start in range(0, len(members), step):
+        block = members[start:start + step]
+        ge = (cum[:, None] >= cum[block]).all(axis=2)
+        le = (cum[:, None] <= cum[block]).all(axis=2)
+        out = ranks[start:start + step]
+        out[:] = 1 + (sizes @ (ge & ~le))[:, None]
+        ks, at = (~ge & ~le).nonzero()
+        if len(ks):
+            signs, _ = decay_signs(rows, ks, block[at], grid.values, grid.fractions())
+            out += np.where(np.arange(len(block))[:, None] == at, sizes[ks], 0) @ (signs > 0)
+    return ranks
 
 
 def degree_closeness_winners(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +409,6 @@ def maximizer_sets(
     g: Graph,
     grid: DeltaGrid,
     profiles: np.ndarray | None = None,
-    dc: np.ndarray | None = None,
 ) -> MaximizerSets:
     """Compute all three maximizer families for a connected graph.
 
@@ -356,8 +416,8 @@ def maximizer_sets(
     profile standing for all of its nodes.  Degree and closeness winners
     come from exact integer comparisons (:func:`degree_closeness_winners`);
     the per-delta decay winners use the exact-confirmation path of
-    :func:`decay_argmax_sets`.  ``profiles`` is the graph's :func:`profile_matrix` and ``dc``
-    its :func:`decay_matrix` on ``grid``, when the caller has them already.
+    :func:`decay_argmax_sets`.  ``profiles`` is the graph's
+    :func:`profile_matrix`, when the caller has it already.
     """
     if profiles is None:
         profiles = profile_matrix(g)
@@ -366,14 +426,14 @@ def maximizer_sets(
         return MaximizerSets(only, only, tuple(only for _ in grid.values))
     first, inverse, sizes = profile_groups(profiles)
     rows = profiles[first]
+    rows = rows[:, : live_levels(rows)]
     in_deg, in_clos = degree_closeness_winners(rows)
-    dc = decay_matrix(rows, grid) if dc is None else dc[first]
     members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(sizes)[:-1])
     return MaximizerSets(
         by_degree=frozenset(np.flatnonzero(in_deg[inverse]).tolist()),
         by_closeness=frozenset(np.flatnonzero(in_clos[inverse]).tolist()),
         by_decay=tuple(
             frozenset(np.concatenate([members[k] for k in s]).tolist())
-            for s in decay_argmax_sets(dc, rows, grid)
+            for s in decay_argmax_sets(rows, grid)
         ),
     )

@@ -17,21 +17,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .centrality import (
-    DeltaGrid,
-    # unused here: kept only as a lookup site of perfbench/tracing.py's COUNTED
-    dc_difference_sign,
-    decay_error_bound,
-    decay_matrix,
-    live_levels,
-)
+# dc_difference_sign and decay_matrix are unused: perfbench/tracing.py lookup sites
+from .centrality import DeltaGrid, dc_difference_sign, decay_matrix, live_levels
 from .generation import (
     DEFAULT_MAX_REJECTS,
     RejectionLimitError,
@@ -43,7 +36,7 @@ from .graph import Graph, profile_matrix
 from .io import with_envelope
 from .ordering import (
     decay_argmax_sets,
-    decay_signs,
+    decay_ranks,
     degree_closeness_winners,
     profile_groups,
 )
@@ -73,8 +66,6 @@ class TrialRecord:
     n: int
     p: float
     rejects: int
-    deg_set: frozenset[int]
-    clos_set: frozenset[int]
     intersects: bool
     subset_deg: tuple[bool, ...]
     subset_clos: tuple[bool, ...]
@@ -94,42 +85,6 @@ class TrialRecord:
         """True when the sets intersect yet some grid value pushes the decay
         maximizers outside the intersection."""
         return self.intersects and not all(self.subset_core)
-
-
-def decay_ranks(
-    dc: np.ndarray,
-    rows: np.ndarray,
-    sizes: np.ndarray,
-    fracs: Sequence[Fraction],
-    members: Sequence[int],
-) -> np.ndarray:
-    """Competition ranks ``1 + #{u : DC_u > DC_v}`` of the nodes ``v`` of
-    each member group at every grid point, shape
-    ``(len(members), len(grid))``.
-
-    ``rows`` are a graph's distinct profiles (its profile groups, with
-    ``sizes[k]`` nodes in group ``k``), ``dc`` is ``decay_matrix(rows,
-    grid)`` and ``members`` are group ids.  Nodes of one group tie
-    exactly, so a greater group counts with its size.  One member group is
-    ranked at a time, so memory stays at ``O(K * (grid + levels))``.  A
-    group counts as greater when its value interval ``dc +- err``
-    (:func:`decay_error_bound`) lies wholly above the member group's; the
-    groups whose intervals overlap it are compared one grid column at a
-    time by their exact sign (:func:`decaycent.ordering.decay_signs`).
-    """
-    err = decay_error_bound(dc, rows)
-    lo, hi = dc - err, dc + err
-    ranks = np.empty((len(members), dc.shape[1]), dtype=np.int64)
-    for r, h in enumerate(members):
-        above = lo > hi[h]
-        near = ~above & (hi >= lo[h])
-        near[h] = False
-        ranks[r] = 1 + sizes @ above
-        for g in np.flatnonzero(near.any(axis=0)).tolist():
-            ks = np.flatnonzero(near[:, g])
-            signs, _ = decay_signs(rows, ks, h, float(fracs[g]), fracs[g])
-            ranks[r, g] += sizes[ks] @ (signs > 0)
-    return ranks
 
 
 def _detect_threshold(
@@ -166,25 +121,21 @@ def run_trial(
 
     Nodes with one distance profile share their degree, farness and decay
     value at every delta, so every set, flag and rank is worked out on the
-    graph's profile groups (:func:`profile_groups`): the decay matrix,
-    argmax sets and ranks cover the ``K`` distinct rows, and only the
-    degree and closeness sets are spelled out as nodes.
+    graph's profile groups (:func:`profile_groups`): the argmax sets and
+    ranks cover the ``K`` distinct rows.
     """
     profiles = profile_matrix(g)
-    first, inverse, sizes = profile_groups(profiles)
+    first, _, sizes = profile_groups(profiles)
     rows = profiles[first]
     rows = rows[:, : live_levels(rows)]
     in_deg, in_clos = degree_closeness_winners(rows)
-    deg_set = frozenset(np.flatnonzero(in_deg[inverse]).tolist())
-    clos_set = frozenset(np.flatnonzero(in_clos[inverse]).tolist())
     deg_groups = frozenset(np.flatnonzero(in_deg).tolist())
     clos_groups = frozenset(np.flatnonzero(in_clos).tolist())
     core = deg_groups & clos_groups
     union = deg_groups | clos_groups
     intersects = bool(core)
 
-    dc = decay_matrix(rows, grid)
-    dc_sets = decay_argmax_sets(dc, rows, grid)
+    dc_sets = decay_argmax_sets(rows, grid)
 
     subset_deg = [s <= deg_groups for s in dc_sets]
     subset_clos = [s <= clos_groups for s in dc_sets]
@@ -192,7 +143,7 @@ def run_trial(
     disjoint = [not (s & union) for s in dc_sets]
 
     members = np.array(sorted(union))
-    ranks = decay_ranks(dc, rows, sizes, grid.fractions(), members)
+    ranks = decay_ranks(rows, sizes, grid, members)
     in_deg, in_clos, weight = in_deg[members], in_clos[members], sizes[members]
     deg_rows = ranks[in_deg]
     clos_rows = ranks[in_clos]
@@ -223,8 +174,6 @@ def run_trial(
         n=g.n,
         p=p,
         rejects=rejects,
-        deg_set=deg_set,
-        clos_set=clos_set,
         intersects=intersects,
         subset_deg=tuple(subset_deg),
         subset_clos=tuple(subset_clos),

@@ -20,9 +20,8 @@ from .centrality import (
     dc_difference_coeffs,
     dc_difference_factored,
     dc_difference_factored_eps,
+    dc_difference_float,
     dc_difference_sign,
-    decay_error_bound,
-    decay_matrix,
     fvec_from_counts,
 )
 from .generation import TrialSeed, sample_connected_gnp
@@ -220,12 +219,19 @@ def check_reciprocal_reversal(
     return res
 
 
-def _decay_intervals(pm: np.ndarray, grid: DeltaGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper ends of the intervals ``dc +- err`` that hold the
-    exact decay values (:func:`decaycent.centrality.decay_error_bound`)."""
-    dc = decay_matrix(pm, grid)
-    err = decay_error_bound(dc, pm)
-    return dc - err, dc + err
+def _certainly_greater(pm: np.ndarray, grid: DeltaGrid) -> np.ndarray:
+    """``out[i, j, g]`` says that ``DC_i > DC_j`` at ``grid.values[g]`` is
+    certified by the float difference and its derived error bound
+    (:func:`decaycent.centrality.dc_difference_float`), for every ordered
+    pair of profile rows.  A pair's negated float difference lies within
+    the same bound of the swapped pair's exact difference, so each pair is
+    evaluated once."""
+    i, j = np.triu_indices(len(pm), 1)
+    value, bound = dc_difference_float(pm[i] - pm[j], grid.values)
+    out = np.zeros((len(pm), len(pm), len(grid)), dtype=bool)
+    out[i, j] = value > bound
+    out[j, i] = -value > bound
+    return out
 
 
 def _strict_order_everywhere(
@@ -237,8 +243,8 @@ def _strict_order_everywhere(
     """Return a violating delta if DC_i <= DC_j anywhere, else None.
 
     ``certain[k]`` says that ``DC_i > DC_j`` at ``deltas[k]`` is certified
-    by disjoint value intervals (``lo_i > hi_j``); every other delta is
-    handed to the exact integer sign.
+    (:func:`_certainly_greater`); every other delta is handed to the exact
+    integer sign.
     """
     suspicious = np.flatnonzero(~certain)
     for k in suspicious.tolist():
@@ -258,7 +264,7 @@ def check_dominance_checkers(
     deltas = grid.values
     for g in graphs:
         pm = profile_matrix(g)
-        lo, hi = _decay_intervals(pm, grid)
+        certain = _certainly_greater(pm, grid)
         rows = pm.tolist()
         fvecs = [fvec_from_counts(row) for row in rows]
         for i in range(g.n):
@@ -276,7 +282,7 @@ def check_dominance_checkers(
                 if not claims:
                     continue
                 res.cases += 1
-                bad = _strict_order_everywhere(rows[i], rows[j], deltas, lo[i] > hi[j])
+                bad = _strict_order_everywhere(rows[i], rows[j], deltas, certain[i, j])
                 if bad is not None:
                     res.record(
                         graph=_edge_dump(g), pair=[i, j], delta=bad, rules=claims
@@ -299,19 +305,18 @@ def check_half_range_conditions(
     high_deltas = [d for d in grid.values if d >= 0.5]
     for g in graphs:
         pm = profile_matrix(g)
-        lo, hi = _decay_intervals(pm, grid)
+        certain = _certainly_greater(pm, grid)
         rows = pm.tolist()
         fvecs = [fvec_from_counts(row) for row in rows]
         for i in range(g.n):
             for j in range(g.n):
                 if i == j:
                     continue
-                certain = lo[i] > hi[j]
                 low = check_low_delta_conditions(rows[i], rows[j])
                 if low.fires:
                     res.cases += 1
                     bad = _strict_order_everywhere(
-                        rows[i], rows[j], low_deltas, certain[low_mask]
+                        rows[i], rows[j], low_deltas, certain[i, j, low_mask]
                     )
                     if bad is not None:
                         res.record(
@@ -322,7 +327,7 @@ def check_half_range_conditions(
                 if high.fires:
                     res.cases += 1
                     bad = _strict_order_everywhere(
-                        rows[i], rows[j], high_deltas, certain[high_mask]
+                        rows[i], rows[j], high_deltas, certain[i, j, high_mask]
                     )
                     if bad is not None:
                         res.record(

@@ -35,6 +35,12 @@ def cycle5() -> Graph:
 CROSSING_EDGES = [(0, 2), (0, 4), (0, 7), (1, 5), (3, 5), (3, 4), (3, 6), (6, 7)]
 CROSSING_PAIR = (0, 4)
 
+# two profiles that tie exactly at delta = 1/2: (3,1,2,0,0,0) at the
+# max-degree nodes 2 and 4 and (2,4,0,0,0,0) at the max-closeness node 5
+# (difference -delta(1-delta)(1-2delta)); found by seeded search over
+# G(7, 0.3) samples, then frozen
+HALF_TIE_EDGES = [(0, 2), (1, 4), (2, 5), (2, 6), (3, 4), (4, 5)]
+
 
 @pytest.fixture
 def crossing_graph() -> Graph:

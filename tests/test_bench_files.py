@@ -15,6 +15,8 @@ from decaycent.graph import build_graph
 from decaycent.ordering import maximizer_sets
 from decaycent.simulation import run_trial
 
+from conftest import CROSSING_EDGES
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
@@ -79,3 +81,20 @@ def test_tracer_counts_exact_signs():
         after_trial = tracer.exact_calls
         maximizer_sets(g, grid)
     assert 0 < after_trial < tracer.exact_calls
+
+
+def test_tracer_spans_every_evaluation_layer():
+    # K_8's dominance front is one profile group and the crossing graph's
+    # holds several; either way the trial and the maximizer sets must reach
+    # the traced profile, decay-matrix and argmax sites, or a traced
+    # benchmark run has no span to average for that layer
+    tracing = load_bench_module("tracing")
+    grid = DeltaGrid.uniform(19)
+    complete = build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+    for g in (complete, build_graph(8, CROSSING_EDGES)):
+        for evaluate in (run_trial, maximizer_sets):
+            tracer = tracing.Tracer()
+            with tracer.installed():
+                evaluate(g, grid)
+            names = {span.name for span in tracer.spans}
+            assert {"graph.profile", "centrality.decay_matrix", "ordering.argmax"} <= names

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decaycent.centrality import (
+    SUBNORMAL_SPACING,
+    UNIT_ROUNDOFF,
     DeltaGrid,
     centrality_table,
     cvec_from_fvec,
@@ -16,8 +18,8 @@ from decaycent.centrality import (
     dc_difference_factored_eps,
     dc_difference_sign,
     decay_centrality,
-    decay_error_bound,
     decay_matrix,
+    live_levels,
     fvec_from_counts,
 )
 from decaycent.generation import TrialSeed, sample_connected_gnp
@@ -217,8 +219,24 @@ class TestDecayCurve:
             assert dc[node] == pytest.approx(naive, rel=1e-12)
 
 
+def horner_error_bound(dc, profiles):
+    """A bound on the absolute error of ``dc = decay_matrix(profiles, grid)``:
+    ``2*gamma_{2L+1}*dc + 2*(L+1)*eta`` with ``L`` live levels, unit
+    roundoff ``u``, ``gamma_k = k*u / (1 - k*u)`` and subnormal spacing
+    ``eta``.  Horner's scheme on nonnegative counts has relative error at
+    most ``gamma_{2L-1}`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., sec. 5.1); each of its ``L`` multiplications can
+    add one ``eta`` by underflow, and the factor 2 covers the roundings
+    made in evaluating the bound."""
+    levels = live_levels(profiles)
+    ku = (2 * levels + 1) * UNIT_ROUNDOFF
+    return 2.0 * ku / (1.0 - ku) * dc + 2 * (levels + 1) * SUBNORMAL_SPACING
+
+
 class TestDecayErrorBound:
-    """|decay_matrix - exact value| <= decay_error_bound, entry by entry."""
+    """|decay_matrix - exact value| <= Horner's derived forward-error bound
+    (:func:`horner_error_bound`), entry by entry: the decay values that
+    reports print are accurate to a relative few ulps."""
 
     @staticmethod
     def exact_decay(row, delta: float) -> Fraction:
@@ -231,7 +249,7 @@ class TestDecayErrorBound:
     def assert_within_bound(self, profiles, deltas, nodes=None):
         grid = DeltaGrid(tuple(deltas))
         dc = decay_matrix(profiles, grid)
-        err = decay_error_bound(dc, profiles)
+        err = horner_error_bound(dc, profiles)
         for node in range(len(profiles)) if nodes is None else nodes:
             row = profiles[node]
             for delta, value, bound in zip(grid.values, dc[node], err[node]):
@@ -259,13 +277,13 @@ class TestDecayErrorBound:
         rows = np.array([[11190, 0, 6740160], [0, 785916, 0], [0, 0, 1]], dtype=np.int64)
         self.assert_within_bound(rows, (1e-150, 1e-9, 0.1, 0.5, 0.9))
         dc = decay_matrix(rows, DeltaGrid((1e-150,)))
-        assert dc[2, 0] == 0.0 < decay_error_bound(dc, rows)[2, 0]
+        assert dc[2, 0] == 0.0 < horner_error_bound(dc, rows)[2, 0]
 
     def test_bound_is_relative_to_the_value(self):
         # gamma_{2L+1} scale: far below any fixed absolute window on P_200
         path = profile_matrix(build_graph(200, [(i, i + 1) for i in range(199)]))
         dc = decay_matrix(path, DeltaGrid.uniform(99))
-        assert (decay_error_bound(dc, path) <= 1e-13 * dc).all()
+        assert (horner_error_bound(dc, path) <= 1e-13 * dc).all()
 
 
 def coeffs(t, i, j):

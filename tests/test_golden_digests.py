@@ -35,12 +35,12 @@ PINNED_SIMULATE = {
     "sparse": {
         "records.csv": "32609bcdf6b74dceb8311b9c24198889e57e1f2b372fa6e311e05730d999a955",
         "aggregate.csv": "c26562e5f648c2a18b45d7ff772e2705d4ac33f85de9134e7f137ffc3f9fe519",
-        "summary.json": "961f7ffdd5b58648d3faad615b4e80e90947da7a89e905047855e8c05e8bb035",
+        "summary.json": "8e03155b194ba6a660387810e8b1b3b2d548fc18592317fc0adf4dac57b790fe",
     },
     "ties": {
         "records.csv": "7e4922ca207d3f732efc337d31795bca403bfcca03d0e8ad8f2dc87abd9baac8",
         "aggregate.csv": "9641510e2c19bbc57346040ba703885b44efb18a748ca6ddb1e843f6aff3d496",
-        "summary.json": "effee6019174398631cc0d1f91871b6f7d1d050178b1f9df565e4df437560aa1",
+        "summary.json": "d4367d1ab6716de7d4bb7937aa2c9aa53c48ad7643b4bd3fc860794081fd8917",
     },
 }
 
@@ -54,27 +54,27 @@ GRAPHS = {
 PINNED_COMPUTE = {
     "p40": {
         "csv": "751dafde4d66df15b6b0f173f58982632a3097fc036692110cfd5fb9851b4cfc",
-        "json": "8ace4226922d6e8bdf744b3b6df63349651ac597bd8e1ee66e46eb44fea6dff3",
-        "json_full": "70733150e7ecd9cfa4e487cb576153da2314ded5e9b0efd2bddcccceaf100155",
+        "json": "8a8729e3a9fd141b14c9255a1f20812ab3ed25aa64a75aa44c5f6379529aa545",
+        "json_full": "c803d757394e06fe5bebdb6eddc629fee4d3327ac331264544e0ddd54ed08aab",
     },
     "crossing": {
         "csv": "5df3d7252cc25c9309e89aeb003cea4625fdde9c01d032c9800971d193e79937",
-        "json": "6cdd00dc12df09fca06ba28e94dd6e0f7dba3b0dff692635301be88976a2a60f",
-        "json_full": "fb8bc6fd3cf3d2aa0fb9d1eae152ca9e31a9ed464c2fc7ee58fdfb40b02e805c",
+        "json": "ffff76b95cc6e8cac6020fcc0746a25c7cbfff0354031d9b0a2d8b9054a22cb1",
+        "json_full": "5faedbd94e6a19278f7f59c0dbdd5e38c884f65ad4681814c09aa14b5e0d1691",
     },
     "p200": {
         "csv": "fdec08f2f60defb7acb041ac11b03d4ab743835d45c43ce6e41175d2e726721d",
-        "json": "03a435963d7113ba960950ce80d4bf1170378f826173977d07bff49c2d8d78dc",
-        "json_full": "cff45ce5da4886e565553cb70f0c263cb6e08300116b58874a20a73f08b9e3f0",
+        "json": "a155175298e3f427f387a34e112ac8a685d320109232305eea7e74ac423dd1a5",
+        "json_full": "e951db0af1b3ac43918ab9164073a25002aae1d6c9b2acf0d473dcdb89623fd7",
     },
 }
 
 COMPARE_PAIRS = {"p40": (0, 20), "crossing": CROSSING_PAIR, "p200": (1, 99)}
 
 PINNED_COMPARE = {
-    "p40": "952bb56565695a58fe5deab29dcf4d41dc92415ceef10659d7be9d23cac25900",
-    "crossing": "ae558f4c4d2c4ebd57a79851c2fcba38cd48cb402f554083f13e1031ac9c8ea8",
-    "p200": "536a91d586195b2b9a98e3f3d30faab0a935465412dc41691b3530f03547639a",
+    "p40": "adcc1242574e32d070d36573b0a8082b9a4fc65ad4cac17112e9252722ac6b8a",
+    "crossing": "6d647bc21ae2127e256dacd87066774e6a60ddc2d213d63e3bd2b67bd7a19000",
+    "p200": "77f1512c3b154f3c6821d4f732a1b37feb78a441629b4dab2ca680341e008eff",
 }
 
 PINNED_VERSION = "0.0.0+pinned"

@@ -25,15 +25,17 @@ from decaycent.ordering import (
     check_profile_dominance,
     decay_argmax_sets,
     decay_signs,
+    dominance_front,
     lex_compare,
     lex_compare_cvec,
     maximizer_sets,
     profile_groups,
     ud_compare,
 )
+from decaycent.simulation import run_trial
 from decaycent.verification import exact_decay_argmax, sample_graphs
 
-from conftest import CROSSING_PAIR, oracle_decay
+from conftest import CROSSING_EDGES, CROSSING_PAIR, HALF_TIE_EDGES, oracle_decay
 
 
 class TestLexCompare:
@@ -312,8 +314,7 @@ class TestMaximizerSets:
         # profiles (2,0,2) and (1,3,0) give delta(1-delta)(1-2delta)
         profiles = np.array([[2, 0, 2, 0], [1, 3, 0, 0]], dtype=np.int64)
         grid = DeltaGrid((0.25, 0.5, 0.75))
-        dc = decay_matrix(profiles, grid)
-        sets = decay_argmax_sets(dc, profiles, grid)
+        sets = decay_argmax_sets(profiles, grid)
         assert sets[0] == frozenset({0})
         assert sets[1] == frozenset({0, 1})  # exact tie at one half
         assert sets[2] == frozenset({1})
@@ -371,12 +372,63 @@ def path_graph(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+class TestDominanceFront:
+    """The front is exactly the rows that no row strictly dominates, and it
+    holds every exact decay maximizer."""
+
+    def naive_front(self, profiles):
+        rows = profiles.tolist()
+        return [h for h in range(len(rows)) if not any(
+            check_profile_dominance(k, rows[h]).relation is Relation.GREATER
+            for k in rows)]
+
+    def assert_holds_maximizers(self, profiles, deltas):
+        front = dominance_front(profiles)
+        assert front.tolist() == self.naive_front(profiles)
+        for delta in deltas:
+            assert exact_decay_argmax(profiles, delta) <= set(front.tolist()), delta
+        return front
+
+    def test_sampled_graphs(self):
+        deltas = DeltaGrid.uniform(19).values
+        for g in sample_graphs(40, n_max=12, seed=0):
+            pm = profile_matrix(g)
+            self.assert_holds_maximizers(pm, deltas)
+            first, _, _ = profile_groups(pm)
+            self.assert_holds_maximizers(pm[first], deltas)
+
+    def test_hand_graphs(self, star4):
+        deltas = DeltaGrid.uniform(99).values
+        for g in (star4, build_graph(8, CROSSING_EDGES)):
+            self.assert_holds_maximizers(profile_matrix(g), deltas)
+        # the max-degree nodes 2, 4 and the max-closeness node 5 tie at 1/2
+        half_tie = self.assert_holds_maximizers(
+            profile_matrix(build_graph(7, HALF_TIE_EDGES)), deltas)
+        assert {2, 4, 5} <= set(half_tie.tolist())
+
+    def test_repeated_rows_stay_and_tie(self):
+        # equal rows dominate neither way: P_200's two centre nodes and all
+        # of K_12's nodes stay in the front
+        path = profile_matrix(path_graph(200))
+        front = self.assert_holds_maximizers(path, (0.01, 0.5, 0.99))
+        assert front.tolist() == [99, 100]
+        k12 = build_graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12)])
+        assert dominance_front(profile_matrix(k12)).tolist() == list(range(12))
+
+    def test_rows_with_unequal_totals(self):
+        # DC_k - DC_h = P_L delta**L + (1 - delta) sum_{l<L} P_l delta**l
+        # needs no equal totals: row 0 dominates row 1, row 2 is incomparable
+        rows = np.array([[3, 0, 2], [1, 2, 1], [0, 5, 0]], dtype=np.int64)
+        assert dominance_front(rows).tolist() == [0, 2]
+        self.assert_holds_maximizers(rows, DeltaGrid.uniform(99).values)
+
+
 class TestCertifiedFilter:
     """The float pre-filter ahead of the exact argmax never changes a set."""
 
     def assert_matches_brute_force(self, g, grid):
         profiles = profile_matrix(g)
-        sets = decay_argmax_sets(decay_matrix(profiles, grid), profiles, grid)
+        sets = decay_argmax_sets(profiles, grid)
         for delta, got in zip(grid.values, sets):
             assert got == exact_decay_argmax(profiles, delta), delta
 
@@ -399,40 +451,41 @@ class TestCertifiedFilter:
         # (2,0,2) and (1,3,0) tie exactly at 1/2; the float difference there
         # is within its bound of zero, so the exact comparison decides
         rows = np.array([[1, 3, 0], [2, 0, 2]], dtype=np.int64)
-        value, bound = dc_difference_float(rows[1:] - rows[:1], 0.5)
-        assert abs(value[0]) <= bound[0]
+        value, bound = dc_difference_float(rows[1:] - rows[:1], [0.5])
+        assert abs(value[0, 0]) <= bound[0, 0]
         grid = DeltaGrid((0.5,))
-        sets = decay_argmax_sets(decay_matrix(rows, grid), rows, grid)
+        sets = decay_argmax_sets(rows, grid)
         assert sets == (frozenset({0, 1}),)
 
     def test_uncertified_float_lead_is_not_trusted(self):
         # at delta = 0.1 the float difference row 1 - row 0 is +7e-14 but
         # the exact one is -3e-13: both rows must reach the exact comparison
         rows = np.array([[11190, 0, 6740160], [0, 785916, 0]], dtype=np.int64)
-        value, bound = dc_difference_float(rows[1:] - rows[:1], 0.1)
-        assert 0 < value[0] <= bound[0]
-        signs, _ = decay_signs(rows, np.array([1]), 0, 0.1, Fraction(0.1))
-        assert signs.tolist() == [-1]
+        value, bound = dc_difference_float(rows[1:] - rows[:1], [0.1])
+        assert 0 < value[0, 0] <= bound[0, 0]
+        signs, _ = decay_signs(rows, np.array([1]), 0, [0.1], [Fraction(0.1)])
+        assert signs.tolist() == [[-1]]
         grid = DeltaGrid((0.1,))
-        sets = decay_argmax_sets(decay_matrix(rows, grid), rows, grid)
+        sets = decay_argmax_sets(rows, grid)
         assert sets == (exact_decay_argmax(rows, 0.1),) == (frozenset({0}),)
 
     def test_float_order_reversed_by_exact(self):
         # decay_matrix puts row 1 one ulp above row 0 at delta = 0.1, while
-        # the exact values have row 0 above by 3.5e-13: the window must keep
-        # row 0 although its float value is not the largest
+        # the exact values have row 0 above by 3.5e-13: the exact comparison
+        # must move the set to row 0 although its float value is not the
+        # largest
         rows = np.array([[13589, 0, 7685170], [0, 904407, 0]], dtype=np.int64)
         grid = DeltaGrid((0.1,))
         dc = decay_matrix(rows, grid)
         assert dc[1, 0] > dc[0, 0]
-        sets = decay_argmax_sets(dc, rows, grid)
+        sets = decay_argmax_sets(rows, grid)
         assert sets == (exact_decay_argmax(rows, 0.1),) == (frozenset({0}),)
 
     def test_path_needs_no_exact_comparison(self, monkeypatch):
-        # every near-tie on P_200 is separated by the certified floats; the
-        # leader moves to the largest float difference above it, since the
-        # float decay values cannot separate the centre groups and a leader
-        # chosen by them walks the overlapping candidates one by one
+        # P_200's centre group dominates every other group, so the front is
+        # that group alone: the maximizer sets make no float difference and
+        # the trial's ranks none that needs the exact sign, since the
+        # path's groups are totally ordered by dominance
         calls = {"dc_difference_sign": 0, "dc_difference_float": 0}
 
         def counted(name):
@@ -448,7 +501,10 @@ class TestCertifiedFilter:
         ms = maximizer_sets(path_graph(200), DeltaGrid.uniform(99))
         assert all(s == frozenset({99, 100}) for s in ms.by_decay)
         assert calls["dc_difference_sign"] == 0
-        assert calls["dc_difference_float"] <= 267
+        assert calls["dc_difference_float"] <= 1
+        rec = run_trial(path_graph(200), DeltaGrid.uniform(99))
+        assert rec.rank_clos_best == (1,) * 99
+        assert calls["dc_difference_sign"] == 0
 
 
 def exact_difference(diff, delta: float) -> Fraction:
@@ -460,20 +516,25 @@ class TestDifferenceBound:
     """|float difference - exact difference| <= the stated bound."""
 
     def assert_within_bound(self, profiles, pairs, deltas):
-        # decay_signs on the same pairs, grouped by their second row, must
-        # return the signs of the exact differences
-        for delta in deltas:
-            diffs = np.array([profiles[i] - profiles[j] for i, j in pairs])
-            values, bounds = dc_difference_float(diffs, delta)
-            exact = [exact_difference(diff, delta) for diff in diffs]
-            for diff, value, bound, want in zip(diffs, values, bounds, exact):
+        # decay_signs on the same pairs, grouped by their second row and
+        # with one second row per pair, must return the signs of the exact
+        # differences
+        diffs = np.array([profiles[i] - profiles[j] for i, j in pairs])
+        values, bounds = dc_difference_float(diffs, deltas)
+        exact = np.array([[exact_difference(diff, delta) for delta in deltas]
+                          for diff in diffs])
+        for diff, value_row, bound_row, want_row in zip(diffs, values, bounds, exact):
+            for delta, value, bound, want in zip(deltas, value_row, bound_row, want_row):
                 error = abs(Fraction(float(value)) - want)
                 assert error <= Fraction(float(bound)), (diff.tolist(), delta)
-            for h in {j for _, j in pairs}:
-                at = [t for t, (_, j) in enumerate(pairs) if j == h]
-                ks = np.array([pairs[t][0] for t in at])
-                signs, _ = decay_signs(profiles, ks, h, delta, Fraction(delta))
-                assert signs.tolist() == [(exact[t] > 0) - (exact[t] < 0) for t in at]
+        want = np.sign(exact).astype(int).tolist()
+        fracs = [Fraction(delta) for delta in deltas]
+        ks, hs = (np.array(side) for side in zip(*pairs))
+        assert decay_signs(profiles, ks, hs, deltas, fracs)[0].tolist() == want
+        for h in set(hs.tolist()):
+            at = np.flatnonzero(hs == h)
+            signs, _ = decay_signs(profiles, ks[at], h, deltas, fracs)
+            assert signs.tolist() == [want[t] for t in at]
 
     def test_all_pairs_of_sampled_graphs(self):
         deltas = (0.01, 0.1, 0.25, 0.5, 0.73, 0.9, 0.99)
@@ -493,8 +554,8 @@ class TestDifferenceBound:
         # and only the bound's absolute term covers the exact one
         profiles = profile_matrix(path_graph(400))
         self.assert_within_bound(profiles, [(170, 199), (185, 200)], (0.01,))
-        values, bounds = dc_difference_float(profiles[[170]] - profiles[[199]], 0.01)
-        assert values[0] == 0.0 < bounds[0]
+        values, bounds = dc_difference_float(profiles[[170]] - profiles[[199]], [0.01])
+        assert values[0, 0] == 0.0 < bounds[0, 0]
         self.assert_within_bound(np.array([[0, 0, 1], [0, 0, 0]]), [(0, 1)], (1e-150,))
 
     def test_one_ulp_rows(self):
@@ -505,5 +566,5 @@ class TestDifferenceBound:
 
     def test_bound_is_tight_enough_to_certify(self):
         # a difference of 1e-300 is still certified positive
-        value, bound = dc_difference_float(np.array([[0, 1, -1]]), 1e-150)
-        assert value[0] > bound[0] > 0
+        value, bound = dc_difference_float(np.array([[0, 1, -1]]), [1e-150])
+        assert value[0, 0] > bound[0, 0] > 0

@@ -11,17 +11,24 @@ from decaycent import ordering, simulation
 from decaycent.centrality import DeltaGrid, decay_matrix
 from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph, profile_matrix
-from decaycent.ordering import profile_groups
+from decaycent.ordering import (
+    Relation,
+    check_profile_dominance,
+    decay_ranks,
+    maximizer_sets,
+    profile_groups,
+)
 from decaycent.simulation import (
     SimulationConfig,
     aggregate,
-    decay_ranks,
     iter_trials,
     nearest_rank_percentile,
     run_experiment,
     run_trial,
 )
 from decaycent.verification import floyd_warshall, sample_graphs
+
+from conftest import HALF_TIE_EDGES
 
 GRID9 = DeltaGrid.uniform(9)
 
@@ -40,7 +47,8 @@ class TestRunTrial:
 
     def test_p3_same_as_star(self, p3):
         rec = run_trial(p3, GRID9)
-        assert rec.deg_set == rec.clos_set == frozenset({1})
+        ms = maximizer_sets(p3, GRID9)
+        assert ms.by_degree == ms.by_closeness == frozenset({1})
         assert all(rec.subset_core)
         assert all(p == 1 for p in rec.rule_pick)
 
@@ -109,12 +117,6 @@ def brute_force_ranks(g, grid):
     return {f: tuple(v) for f, v in out.items()}
 
 
-# two profiles that tie exactly at delta = 1/2: (3,1,2,0,0,0) at the
-# max-degree nodes 2 and 4 and (2,4,0,0,0,0) at the max-closeness node 5
-# (difference -delta(1-delta)(1-2delta)); found by seeded search over
-# G(7, 0.3) samples, then frozen
-HALF_TIE_EDGES = [(0, 2), (1, 4), (2, 5), (2, 6), (3, 4), (4, 5)]
-
 GRID19 = DeltaGrid.uniform(19)  # holds 0.5 exactly
 
 
@@ -137,6 +139,21 @@ class TestTieHeavyMemory:
             tracemalloc.stop()
         assert all(r == 1 for r in rec.rank_rule)
         assert peak < 24e6
+
+    def test_many_member_groups_are_ranked_in_blocks(self):
+        # every inner node of P_400 has the largest degree: its 199 member
+        # groups against 200 groups over 399 levels make a 16 MB dominance
+        # array when ranked in one piece
+        g = build_graph(400, [(i, i + 1) for i in range(399)])
+        profile_matrix(g)  # imports scipy (the long-diameter route) untraced
+        tracemalloc.start()
+        try:
+            rec = run_trial(g, DeltaGrid.uniform(99))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.rank_clos_best == (1,) * 99
+        assert peak < 10e6
 
 
 class TestRanksAgainstBruteForce:
@@ -184,14 +201,16 @@ class TestRanksAgainstBruteForce:
         _, inverse, sizes = profile_groups(profile_matrix(g))
         assert sorted(sizes[inverse[sorted(nodes)]].tolist()) == [1, 2, 2]
         rec = run_trial(g, GRID19)
-        assert getattr(rec, f"{field}_set") == nodes
+        ms = maximizer_sets(g, GRID19)
+        assert {"deg": ms.by_degree, "clos": ms.by_closeness}[field] == nodes
         assert getattr(rec, f"rank_{field}_avg") == (5 / 3,) * len(GRID19)
         self.assert_matches(g)
 
     def test_distinct_profiles_tie_at_half(self):
         g = build_graph(7, HALF_TIE_EDGES)
         rec = run_trial(g, GRID19)
-        assert rec.deg_set == {2, 4} and rec.clos_set == {5}
+        ms = maximizer_sets(g, GRID19)
+        assert ms.by_degree == {2, 4} and ms.by_closeness == {5}
         half = GRID19.values.index(0.5)
         # the exact tie at 1/2 itself is checked in TestRankOf and TestRuleOfThumbPick
         assert rec.rank_clos_best[half - 1] == 3 and rec.rank_deg_best[half + 1] == 2
@@ -201,9 +220,7 @@ class TestRanksAgainstBruteForce:
 def node_ranks(profiles, grid, members):
     """:func:`decay_ranks` on the profile groups, read back per node."""
     first, inverse, sizes = profile_groups(profiles)
-    rows = profiles[first]
-    return decay_ranks(decay_matrix(rows, grid), rows, sizes, grid.fractions(),
-                       inverse[list(members)])
+    return decay_ranks(profiles[first], sizes, grid, inverse[list(members)])
 
 
 class TestRankOf:
@@ -226,9 +243,10 @@ class TestRuleOfThumbPick:
     their union at exactly 1/2; exact ties go to the lowest id."""
 
     def half_tie_record(self):
-        rec = run_trial(build_graph(7, HALF_TIE_EDGES), GRID19)
-        assert rec.deg_set == {2, 4} and rec.clos_set == {5}
-        return rec, GRID19.values.index(0.5)
+        g = build_graph(7, HALF_TIE_EDGES)
+        ms = maximizer_sets(g, GRID19)
+        assert ms.by_degree == {2, 4} and ms.by_closeness == {5}
+        return run_trial(g, GRID19), GRID19.values.index(0.5)
 
     def test_disjoint_sets_low_delta_picks_from_degree_set(self):
         rec, half = self.half_tie_record()
@@ -278,20 +296,34 @@ class TestDecayRanks:
         assert sizes[inverse].tolist() == [1, 3, 3, 3]
         rows = pm[first]
         grid = DeltaGrid((0.25, 0.5, 0.75))
-        ranks = decay_ranks(decay_matrix(rows, grid), rows, sizes, grid.fractions(),
-                            [inverse[1], inverse[0]])
+        ranks = decay_ranks(rows, sizes, grid, [inverse[1], inverse[0]])
         assert ranks.tolist() == [[2, 2, 2], [1, 1, 1]]
         path = profile_matrix(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
         assert node_ranks(path, grid, range(5)).tolist() == [
             [4, 4, 4], [2, 2, 2], [1, 1, 1], [2, 2, 2], [4, 4, 4]]
 
+    def test_incomparable_groups_match_brute_force(self, crossing_graph):
+        # nodes 0 and 4 of the crossing graph, and nodes 4 and 5 of the
+        # half-tie graph, have incomparable profiles: their ranks come from
+        # the batched exact comparison, the other pairs' from dominance
+        for g, (i, j) in ((crossing_graph, (0, 4)), (build_graph(7, HALF_TIE_EDGES), (4, 5))):
+            pm = profile_matrix(g)
+            assert check_profile_dominance(pm[i], pm[j]).relation is Relation.INCOMPARABLE
+            grid = DeltaGrid.uniform(19)
+            ranks = node_ranks(pm, grid, range(g.n))
+            for col, delta in enumerate(grid.values):
+                x = Fraction(delta)
+                value = [sum(int(c) * x**l for l, c in enumerate(row, 1)) for row in pm]
+                assert ranks[:, col].tolist() == [1 + sum(u > v for u in value) for v in value]
+
 
 class TestRankCertification:
     def test_float_certificate_replaces_exact_calls(self, monkeypatch):
-        # on P_80 the centre groups' value intervals overlap at small delta;
-        # their certified float differences settle them without the exact
-        # sign, and the record equals the one where every overlap is exact
-        path = build_graph(80, [(i, i + 1) for i in range(79)])
+        # on this G(200, 0.03) sample the member groups are incomparable
+        # with many groups; their certified float differences settle them
+        # without the exact sign, and the record equals the one where every
+        # incomparable pair is decided exactly
+        g, _ = sample_connected_gnp(200, 0.03, TrialSeed(5, 0))
         exact_sign = ordering.dc_difference_sign
         float_difference = ordering.dc_difference_float
         calls = []
@@ -305,11 +337,11 @@ class TestRankCertification:
             return values, np.full_like(bound, np.inf)
 
         monkeypatch.setattr(ordering, "dc_difference_sign", counting_sign)
-        shipped = run_trial(path, DeltaGrid.uniform(99), p=1.0)
+        shipped = run_trial(g, DeltaGrid.uniform(99), p=0.03)
         certified_calls = len(calls)
         calls.clear()
         monkeypatch.setattr(ordering, "dc_difference_float", no_certificate)
-        forced = run_trial(path, DeltaGrid.uniform(99), p=1.0)
+        forced = run_trial(g, DeltaGrid.uniform(99), p=0.03)
         assert shipped == forced
         assert len(calls) > 1000
         assert certified_calls <= 0.01 * len(calls)

@@ -6,7 +6,7 @@ import pytest
 from decaycent.centrality import DeltaGrid, dc_difference_sign, decay_matrix
 from decaycent.ordering import ComparisonVerdict, Relation
 from decaycent.verification import (
-    _decay_intervals,
+    _certainly_greater,
     _strict_order_everywhere,
     check_reciprocal_reversal,
     run_all_checks,
@@ -60,13 +60,16 @@ def test_sample_graphs_needs_a_size():
 
 def test_strict_order_uses_derived_intervals():
     # at 0.9 the float values put row 0 one ulp (3.6e-12) above row 1, but
-    # exactly row 0 is below: a fixed 1e-12 window would certify the order
+    # exactly row 0 is below: a fixed 1e-12 window would certify the order,
+    # while the float difference lies within its derived bound both ways,
+    # so the exact sign decides
     rows = np.array([[13126, 6054, 8289, 5564], [11371, 8004, 8289, 5564]])
     grid = DeltaGrid((0.9,))
     dc = decay_matrix(rows, grid)
     assert dc[0, 0] - dc[1, 0] > 1e-12
     assert dc_difference_sign(rows[0], rows[1], 0.9) < 0
-    lo, hi = _decay_intervals(rows, grid)
+    certain = _certainly_greater(rows, grid)
+    assert not certain.any()
     i, j = rows.tolist()
-    assert _strict_order_everywhere(i, j, grid.values, lo[0] > hi[1]) == 0.9
-    assert _strict_order_everywhere(j, i, grid.values, lo[1] > hi[0]) is None
+    assert _strict_order_everywhere(i, j, grid.values, certain[0, 1]) == 0.9
+    assert _strict_order_everywhere(j, i, grid.values, certain[1, 0]) is None
