@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 from .centrality import DeltaGrid, centrality_table, dc_difference_coeffs, decay_matrix
 from .generation import RejectionLimitError
@@ -42,6 +43,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
+
+
+#: ``simulate``'s settings and their types, one flag and config-file key each.
+_SIM_KEYS = {**get_type_hints(SimulationConfig), "out_dir": str}
 
 
 class UsageError(Exception):
@@ -78,14 +83,8 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="connected G(n,p) maximizer study")
     p_sim.add_argument("--config", help="key=value config file; flags override")
-    p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--p", type=float)
-    p_sim.add_argument("--trials", type=int)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--grid-points", type=int)
-    p_sim.add_argument("--out-dir")
-    p_sim.add_argument("--workers", type=int)
-    p_sim.add_argument("--max-rejects", type=int)
+    for key, kind in _SIM_KEYS.items():
+        p_sim.add_argument(f"--{key.replace('_', '-')}", type=kind)
 
     p_check = sub.add_parser("check", help="randomized property verification")
     p_check.add_argument("--n-max", type=int, default=12)
@@ -94,18 +93,6 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--out", help="JSON report path")
 
     return parser
-
-
-_SIM_KEYS = {
-    "n": int,
-    "p": float,
-    "trials": int,
-    "seed": int,
-    "grid_points": int,
-    "out_dir": str,
-    "workers": int,
-    "max_rejects": int,
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -272,7 +259,7 @@ def _cmd_check(args) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.cases} cases, "
-              f"{len(res.failures)} failures")
+              f"{len(res.failures)} failures ({res.seconds:.2f} s)")
         for failure in res.failures:
             print(f"    counterexample: {json.dumps(jsonable(failure), sort_keys=True)}")
     if args.out:

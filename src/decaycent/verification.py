@@ -2,13 +2,17 @@
 
 Each check regenerates its ground truth from first principles (Floyd-
 Warshall distances, naive per-pair decay sums, exhaustive prefix scans)
-rather than reusing the production code paths it is checking.  Failures
-are report content with counterexample dumps, not exceptions, so the CLI
-``check`` command can emit a full pass/fail report and exit nonzero.
+rather than reusing the production code paths it is checking.  The order
+oracle is :func:`decaycent.ordering.decay_signs`, the package's one exact
+decay comparison, which the tests check against ``Fraction`` brute force;
+the order properties never reuse the sufficient-condition code they check.
+Failures are report content with counterexample dumps, not exceptions, so
+the CLI ``check`` command can emit a full pass/fail report and exit nonzero.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -20,19 +24,19 @@ from .centrality import (
     dc_difference_coeffs,
     dc_difference_factored,
     dc_difference_factored_eps,
-    dc_difference_float,
-    dc_difference_sign,
     fvec_from_counts,
 )
 from .generation import TrialSeed, sample_connected_gnp
 from .graph import Graph, profile_matrix
 from .ordering import (
+    RANK_BLOCK,
     ComparisonVerdict,
     Relation,
     check_farness_dominance,
     check_high_delta_conditions,
     check_low_delta_conditions,
     check_profile_dominance,
+    decay_signs,
     lex_compare,
     lex_compare_cvec,
     ud_compare,
@@ -50,6 +54,8 @@ class PropertyResult:
     name: str
     cases: int
     failures: list[dict] = field(default_factory=list)
+    #: Wall time of the property, for the console only.
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -219,38 +225,48 @@ def check_reciprocal_reversal(
     return res
 
 
-def _certainly_greater(pm: np.ndarray, grid: DeltaGrid) -> np.ndarray:
-    """``out[i, j, g]`` says that ``DC_i > DC_j`` at ``grid.values[g]`` is
-    certified by the float difference and its derived error bound
-    (:func:`decaycent.centrality.dc_difference_float`), for every ordered
-    pair of profile rows.  A pair's negated float difference lies within
-    the same bound of the swapped pair's exact difference, so each pair is
-    evaluated once."""
-    i, j = np.triu_indices(len(pm), 1)
-    value, bound = dc_difference_float(pm[i] - pm[j], grid.values)
-    out = np.zeros((len(pm), len(pm), len(grid)), dtype=bool)
-    out[i, j] = value > bound
-    out[j, i] = -value > bound
-    return out
+def _check_order_claims(
+    res: PropertyResult,
+    graphs: Sequence[Graph],
+    grid: DeltaGrid,
+    claims_of: Callable[..., list[tuple[np.ndarray, dict]]],
+) -> PropertyResult:
+    """Settle claims that ``DC_i > DC_j`` strictly, and record each failing
+    claim at its first failing delta.
 
-
-def _strict_order_everywhere(
-    counts_i: Sequence[int],
-    counts_j: Sequence[int],
-    deltas: Sequence[float],
-    certain: np.ndarray,
-) -> float | None:
-    """Return a violating delta if DC_i <= DC_j anywhere, else None.
-
-    ``certain[k]`` says that ``DC_i > DC_j`` at ``deltas[k]`` is certified
-    (:func:`_certainly_greater`); every other delta is handed to the exact
-    integer sign.
+    ``claims_of(ci, cj, fvec_i, fvec_j)`` lists the claims for the ordered
+    node pair ``(i, j)`` as ``(grid columns, counterexample detail)``.  The
+    exact signs come from :func:`decaycent.ordering.decay_signs`, one call
+    per block of at most ``RANK_BLOCK // len(grid)`` claims of a graph, so
+    memory stays bounded on large graphs.
     """
-    suspicious = np.flatnonzero(~certain)
-    for k in suspicious.tolist():
-        if dc_difference_sign(counts_i, counts_j, deltas[k]) <= 0:
-            return float(deltas[k])
-    return None
+    deltas = np.asarray(grid.values)
+    fracs = grid.fractions()
+    step = max(1, RANK_BLOCK // len(grid))
+    for g in graphs:
+        pm = profile_matrix(g)
+        rows = pm.tolist()
+        fvecs = [fvec_from_counts(row) for row in rows]
+        claims = [
+            (i, j, cols, detail)
+            for i in range(g.n)
+            for j in range(g.n)
+            if i != j
+            for cols, detail in claims_of(rows[i], rows[j], fvecs[i], fvecs[j])
+        ]
+        res.cases += len(claims)
+        for start in range(0, len(claims), step):
+            block = claims[start:start + step]
+            ks, hs = np.array([c[:2] for c in block]).T
+            signs, _ = decay_signs(pm, ks, hs, deltas, fracs)
+            for (i, j, cols, detail), s in zip(block, signs):
+                bad = cols[s[cols] <= 0]
+                if len(bad):
+                    res.record(
+                        graph=_edge_dump(g), pair=[i, j],
+                        delta=float(deltas[bad[0]]), **detail,
+                    )
+    return res
 
 
 def check_dominance_checkers(
@@ -260,34 +276,18 @@ def check_dominance_checkers(
     holds at every grid point."""
     if grid is None:
         grid = DeltaGrid.uniform(999)
+    every = np.arange(len(grid))
+
+    def claims_of(ci, cj, fi, fj):
+        rules = []
+        if check_profile_dominance(ci, cj).relation is Relation.GREATER:
+            rules.append("profile-dominance")
+        if check_farness_dominance(fi, fj).relation is Relation.GREATER:
+            rules.append("farness-dominance")
+        return [(every, {"rules": rules})] if rules else []
+
     res = PropertyResult(name="dominance-checkers-sound", cases=0)
-    deltas = grid.values
-    for g in graphs:
-        pm = profile_matrix(g)
-        certain = _certainly_greater(pm, grid)
-        rows = pm.tolist()
-        fvecs = [fvec_from_counts(row) for row in rows]
-        for i in range(g.n):
-            for j in range(g.n):
-                if i == j:
-                    continue
-                claims = []
-                if check_profile_dominance(rows[i], rows[j]).relation is Relation.GREATER:
-                    claims.append("profile-dominance")
-                if (
-                    check_farness_dominance(fvecs[i], fvecs[j]).relation
-                    is Relation.GREATER
-                ):
-                    claims.append("farness-dominance")
-                if not claims:
-                    continue
-                res.cases += 1
-                bad = _strict_order_everywhere(rows[i], rows[j], deltas, certain[i, j])
-                if bad is not None:
-                    res.record(
-                        graph=_edge_dump(g), pair=[i, j], delta=bad, rules=claims
-                    )
-    return res
+    return _check_order_claims(res, graphs, grid, claims_of)
 
 
 def check_half_range_conditions(
@@ -297,44 +297,24 @@ def check_half_range_conditions(
     high-delta conditions imply strict order on [0.5, 1)."""
     if grid is None:
         grid = DeltaGrid.uniform(999)
-    res = PropertyResult(name="half-range-conditions-sound", cases=0)
     deltas = np.asarray(grid.values)
-    low_mask = deltas <= 0.5
-    high_mask = deltas >= 0.5
-    low_deltas = [d for d in grid.values if d <= 0.5]
-    high_deltas = [d for d in grid.values if d >= 0.5]
-    for g in graphs:
-        pm = profile_matrix(g)
-        certain = _certainly_greater(pm, grid)
-        rows = pm.tolist()
-        fvecs = [fvec_from_counts(row) for row in rows]
-        for i in range(g.n):
-            for j in range(g.n):
-                if i == j:
-                    continue
-                low = check_low_delta_conditions(rows[i], rows[j])
-                if low.fires:
-                    res.cases += 1
-                    bad = _strict_order_everywhere(
-                        rows[i], rows[j], low_deltas, certain[i, j, low_mask]
-                    )
-                    if bad is not None:
-                        res.record(
-                            graph=_edge_dump(g), pair=[i, j], delta=bad,
-                            rule="low-delta", conditions=sorted(low.satisfied),
-                        )
-                high = check_high_delta_conditions(fvecs[i], fvecs[j])
-                if high.fires:
-                    res.cases += 1
-                    bad = _strict_order_everywhere(
-                        rows[i], rows[j], high_deltas, certain[i, j, high_mask]
-                    )
-                    if bad is not None:
-                        res.record(
-                            graph=_edge_dump(g), pair=[i, j], delta=bad,
-                            rule="high-delta", conditions=sorted(high.satisfied),
-                        )
-    return res
+    low_cols = np.flatnonzero(deltas <= 0.5)
+    high_cols = np.flatnonzero(deltas >= 0.5)
+
+    def claims_of(ci, cj, fi, fj):
+        claims = []
+        low = check_low_delta_conditions(ci, cj)
+        if low.fires:
+            claims.append((low_cols, {"rule": "low-delta",
+                                      "conditions": sorted(low.satisfied)}))
+        high = check_high_delta_conditions(fi, fj)
+        if high.fires:
+            claims.append((high_cols, {"rule": "high-delta",
+                                       "conditions": sorted(high.satisfied)}))
+        return claims
+
+    res = PropertyResult(name="half-range-conditions-sound", cases=0)
+    return _check_order_claims(res, graphs, grid, claims_of)
 
 
 def cvec_sort_key(fvec: Sequence[int]) -> tuple:
@@ -438,7 +418,8 @@ def check_dominance_partial_order(
 def run_all_checks(
     n_max: int = 12, graphs: int = 200, seed: int = 0
 ) -> list[PropertyResult]:
-    """Run every property suite on one deterministic batch of graphs.
+    """Run every property suite on one deterministic batch of graphs, and
+    time each one (``PropertyResult.seconds``).
 
     Raises ``ValueError`` when ``graphs`` is below 1: an empty batch would
     pass every property without checking one.
@@ -447,12 +428,19 @@ def run_all_checks(
         raise ValueError(f"graphs must be at least 1, got {graphs}")
     batch = sample_graphs(graphs, n_max=n_max, seed=seed)
     small = batch[: max(1, len(batch) // 4)]
-    return [
-        check_bfs_distances(batch),
-        check_difference_factorizations(small, grid=DeltaGrid.uniform(49)),
-        check_reciprocal_reversal(batch),
-        check_dominance_checkers(batch),
-        check_half_range_conditions(batch),
-        check_limit_orderings(batch),
-        check_dominance_partial_order(small),
+    runs = [
+        lambda: check_bfs_distances(batch),
+        lambda: check_difference_factorizations(small, grid=DeltaGrid.uniform(49)),
+        lambda: check_reciprocal_reversal(batch),
+        lambda: check_dominance_checkers(batch),
+        lambda: check_half_range_conditions(batch),
+        lambda: check_limit_orderings(batch),
+        lambda: check_dominance_partial_order(small),
     ]
+    results = []
+    for run in runs:
+        start = time.perf_counter()
+        res = run()
+        res.seconds = time.perf_counter() - start
+        results.append(res)
+    return results

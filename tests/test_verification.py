@@ -1,14 +1,27 @@
 """The randomized property-check engine itself."""
 
+import json
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from decaycent import cli, verification
 from decaycent.centrality import DeltaGrid, dc_difference_sign, decay_matrix
-from decaycent.ordering import ComparisonVerdict, Relation
+from decaycent.graph import build_graph
+from decaycent.ordering import (
+    ComparisonVerdict,
+    Relation,
+    SufficiencyResult,
+    decay_signs,
+    lex_compare,
+)
 from decaycent.verification import (
-    _certainly_greater,
-    _strict_order_everywhere,
+    check_dominance_checkers,
+    check_half_range_conditions,
     check_reciprocal_reversal,
+    floyd_warshall,
     run_all_checks,
     sample_graphs,
 )
@@ -61,15 +74,69 @@ def test_sample_graphs_needs_a_size():
 def test_strict_order_uses_derived_intervals():
     # at 0.9 the float values put row 0 one ulp (3.6e-12) above row 1, but
     # exactly row 0 is below: a fixed 1e-12 window would certify the order,
-    # while the float difference lies within its derived bound both ways,
-    # so the exact sign decides
+    # while the order oracle of the checks gives the exact signs
     rows = np.array([[13126, 6054, 8289, 5564], [11371, 8004, 8289, 5564]])
     grid = DeltaGrid((0.9,))
     dc = decay_matrix(rows, grid)
     assert dc[0, 0] - dc[1, 0] > 1e-12
     assert dc_difference_sign(rows[0], rows[1], 0.9) < 0
-    certain = _certainly_greater(rows, grid)
-    assert not certain.any()
-    i, j = rows.tolist()
-    assert _strict_order_everywhere(i, j, grid.values, certain[0, 1]) == 0.9
-    assert _strict_order_everywhere(j, i, grid.values, certain[1, 0]) is None
+    signs, _ = decay_signs(rows, np.array([0, 1]), np.array([1, 0]),
+                           grid.values, grid.fractions())
+    assert signs.tolist() == [[-1], [1]]
+
+
+def _low_on_any_degree_surplus(ci, cj):
+    return SufficiencyResult(applicable=ci[0] > cj[0], satisfied=frozenset({1}),
+                             rule="mutant")
+
+
+def _high_on_any_farness_deficit(fvec_i, fvec_j):
+    return SufficiencyResult(applicable=fvec_i[0] < fvec_j[0],
+                             satisfied=frozenset({1}), rule="mutant")
+
+
+def _profile_greater_on_lex_lead(ci, cj):
+    return lex_compare(ci, cj, rule="profile-dominance")
+
+
+def _exact_decay(dist_row, node, delta):
+    frac = Fraction(delta)
+    return sum(frac ** int(d) for j, d in enumerate(dist_row) if j != node)
+
+
+@pytest.mark.parametrize("target, mutant, check, keys, lo, hi", [
+    ("check_low_delta_conditions", _low_on_any_degree_surplus,
+     check_half_range_conditions, {"rule", "conditions"}, 0.0, 0.5),
+    ("check_high_delta_conditions", _high_on_any_farness_deficit,
+     check_half_range_conditions, {"rule", "conditions"}, 0.5, 1.0),
+    ("check_profile_dominance", _profile_greater_on_lex_lead,
+     check_dominance_checkers, {"rules"}, 0.0, 1.0),
+])
+def test_mutated_sufficient_condition_is_caught(monkeypatch, target, mutant,
+                                                check, keys, lo, hi):
+    graphs = sample_graphs(16, n_max=9, seed=6)
+    assert check(graphs).passed
+    monkeypatch.setattr(verification, target, mutant)
+    res = check(graphs)
+    assert not res.passed
+    for failure in res.failures:
+        assert {"graph", "pair", "delta", *keys} <= failure.keys()
+        delta = failure["delta"]
+        # grid values lie in (0, 1), and the claimed range is [lo, hi] there
+        assert lo <= delta <= hi
+        edges = failure["graph"]
+        g = build_graph(1 + max(max(e) for e in edges), edges)
+        i, j = failure["pair"]
+        dist = floyd_warshall(g)
+        assert _exact_decay(dist[i], i, delta) <= _exact_decay(dist[j], j, delta)
+
+
+def test_check_reports_seconds_on_stdout_only(tmp_path, capsys):
+    out = tmp_path / "check.json"
+    assert cli.main(["check", "--graphs", "8", "--n-max", "6", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        assert re.fullmatch(r"\[PASS\] [a-z-]+: \d+ cases, 0 failures \(\d+\.\d\d s\)", line), line
+    for prop in json.loads(out.read_text())["properties"]:
+        assert set(prop) == {"name", "passed", "cases", "failures"}
