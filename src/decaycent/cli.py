@@ -37,7 +37,6 @@ from .ordering import (
     maximizer_sets,
 )
 from .simulation import AllTrialsFailedError, SimulationConfig, run_experiment
-from .verification import MIN_CHECK_NODES, run_all_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,6 +249,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # imported here only, so the other commands start without it
+    from .verification import MIN_CHECK_NODES, run_all_checks
+
     if args.n_max < MIN_CHECK_NODES:
         raise UsageError(f"check needs --n-max >= {MIN_CHECK_NODES}, got {args.n_max}")
     if args.graphs < 1:

@@ -36,6 +36,12 @@ draw past the attempt that is accepted, or past the rejection budget.
 That is still exact: each batch's stream is thrown away once its batch
 returns or runs out, so nothing reads those extra draws.  Tail-shuffle
 attempts keep one ``choice`` call each.
+
+Full draws.  An attempt whose count is ``pop`` chooses every pair,
+whatever its draws are, and K_n is connected.  So the first such attempt
+of a batch is accepted, if no earlier one is, without drawing anything:
+nothing reads a batch's stream after its accepted attempt.  Its graph is
+written directly (:func:`_complete_graph`), with no key sort.
 """
 
 from __future__ import annotations
@@ -206,12 +212,25 @@ def _floyd_set(pop: int, vals: np.ndarray) -> np.ndarray:
     return np.where(collided, lo + ts, vals)
 
 
+def _complete_graph(n: int) -> Graph:
+    """K_n, its CSR written in order: row ``i`` lists every node but ``i``.
+    The same arrays as :func:`graph_from_pair_arrays` gives for every pair,
+    with no key sort."""
+    rows = np.repeat(np.arange(n), n - 1)
+    cols = np.tile(np.arange(n - 1), n)
+    return Graph(n=n, indptr=np.arange(n + 1) * (n - 1), indices=cols + (cols >= rows))
+
+
 def _first_connected(
     rng: np.random.Generator, n: int, counts: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray] | None:
+) -> tuple[int, tuple[np.ndarray, np.ndarray] | None] | None:
     """The first attempt of ``counts`` whose edge draw is connected, as
-    ``(position, us, vs)``, or ``None``.  Draws from ``rng`` what the
+    ``(position, (us, vs))``, or ``None``.  Draws from ``rng`` what the
     attempts' ``choice`` calls would, in order, and possibly more.
+
+    The attempts run up to ``end``, the first whose count is every pair.
+    If none of them is connected, attempt ``end`` is accepted without
+    drawing, as ``(position, None)``: its edge set is every pair.
 
     A tail-shuffle attempt is one ``choice`` call.  Runs of Floyd-branch
     attempts go in chunks whose size doubles from one attempt, cut at the
@@ -226,7 +245,9 @@ def _first_connected(
     iu, ju = _pair_index(n)
     pop = len(iu)
     drawn = np.flatnonzero(counts >= n - 1)
-    ks = counts[drawn]
+    full = np.flatnonzero(counts[drawn] == pop)
+    end = int(full[0]) if len(full) else len(drawn)
+    ks = counts[drawn[:end]]
     floyd = _floyd_branch(pop, ks)
     # each attempt's next tail-shuffle attempt, or the end
     tails = np.flatnonzero(~floyd)
@@ -237,7 +258,7 @@ def _first_connected(
         if not floyd[i]:
             us, vs = _draw_edges(rng, n, int(ks[i]))
             if pairs_connected(n, us, vs):
-                return int(drawn[i]), us, vs
+                return int(drawn[i]), (us, vs)
             i += 1
             continue
         stop = min(i + size, int(next_tail[np.searchsorted(tails, i)]))
@@ -256,9 +277,9 @@ def _first_connected(
             sel = _floyd_set(pop, vals[offs[a]:offs[a] + run[a]])
             us, vs = iu[sel], ju[sel]
             if pairs_connected(n, us, vs):
-                return int(drawn[i + a]), us, vs
+                return int(drawn[i + a]), (us, vs)
         i = stop
-    return None
+    return (int(drawn[end]), None) if end < len(drawn) else None
 
 
 def sample_connected_gnp(
@@ -285,8 +306,9 @@ def sample_connected_gnp(
         live = min(BATCH_SIZE, budget - tried)
         hit = _first_connected(rng, n, counts[:live])
         if hit is not None:
-            pos, us, vs = hit
-            return graph_from_pair_arrays(n, us, vs), tried + pos
+            pos, edges = hit
+            g = _complete_graph(n) if edges is None else graph_from_pair_arrays(n, *edges)
+            return g, tried + pos
         tried += live
         if tried == budget:
             raise RejectionLimitError(n, p, tried)

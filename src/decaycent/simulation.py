@@ -15,7 +15,6 @@ number of workers yields byte-identical output files.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -352,6 +351,9 @@ def iter_trials(config: SimulationConfig) -> Iterator[tuple[int, TrialRecord | N
         for ti in range(config.trials):
             yield _run_single(config, ti)
         return
+    # imported here only, so a serial run and the CLI's start-up skip it
+    import multiprocessing
+
     chunk = max(1, min(64, config.trials // (workers * 4) or 1))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers) as pool:

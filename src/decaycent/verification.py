@@ -232,17 +232,17 @@ def _check_order_claims(
     claims_of: Callable[..., list[tuple[np.ndarray, dict]]],
 ) -> PropertyResult:
     """Settle claims that ``DC_i > DC_j`` strictly, and record each failing
-    claim at its first failing delta.
+    claim at its first failing delta, in claim order.
 
     ``claims_of(ci, cj, fvec_i, fvec_j)`` lists the claims for the ordered
-    node pair ``(i, j)`` as ``(grid columns, counterexample detail)``.  The
-    exact signs come from :func:`decaycent.ordering.decay_signs`, one call
-    per block of at most ``RANK_BLOCK // len(grid)`` claims of a graph, so
+    node pair ``(i, j)`` as ``(grid columns, counterexample detail)``.  A
+    graph's claims are grouped by their columns, and the exact signs come
+    from :func:`decaycent.ordering.decay_signs` on those columns only, one
+    call per block of at most ``RANK_BLOCK // len(columns)`` claims, so
     memory stays bounded on large graphs.
     """
     deltas = np.asarray(grid.values)
-    fracs = grid.fractions()
-    step = max(1, RANK_BLOCK // len(grid))
+    fracs = np.array(grid.fractions(), dtype=object)
     for g in graphs:
         pm = profile_matrix(g)
         rows = pm.tolist()
@@ -255,17 +255,26 @@ def _check_order_claims(
             for cols, detail in claims_of(rows[i], rows[j], fvecs[i], fvecs[j])
         ]
         res.cases += len(claims)
-        for start in range(0, len(claims), step):
-            block = claims[start:start + step]
-            ks, hs = np.array([c[:2] for c in block]).T
-            signs, _ = decay_signs(pm, ks, hs, deltas, fracs)
-            for (i, j, cols, detail), s in zip(block, signs):
-                bad = cols[s[cols] <= 0]
-                if len(bad):
-                    res.record(
-                        graph=_edge_dump(g), pair=[i, j],
-                        delta=float(deltas[bad[0]]), **detail,
-                    )
+        by_cols: dict[bytes, list[int]] = {}
+        for t, claim in enumerate(claims):
+            by_cols.setdefault(claim[2].tobytes(), []).append(t)
+        first_bad: dict[int, int] = {}
+        for ts in by_cols.values():
+            cols = claims[ts[0]][2]
+            if not len(cols):
+                continue  # a claim on no grid value cannot fail
+            step = max(1, RANK_BLOCK // len(cols))
+            for start in range(0, len(ts), step):
+                block = ts[start:start + step]
+                ks, hs = np.array([claims[t][:2] for t in block]).T
+                signs, _ = decay_signs(pm, ks, hs, deltas[cols], fracs[cols])
+                bad = signs <= 0
+                for b in np.flatnonzero(bad.any(axis=1)).tolist():
+                    first_bad[block[b]] = int(cols[bad[b].argmax()])
+        for t in sorted(first_bad):
+            i, j, _, detail = claims[t]
+            res.record(graph=_edge_dump(g), pair=[i, j],
+                       delta=float(deltas[first_bad[t]]), **detail)
     return res
 
 

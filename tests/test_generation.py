@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from decaycent import generation
 from decaycent.generation import (
     BATCH_SIZE,
     RejectionLimitError,
     TrialSeed,
+    _complete_graph,
     _draw_edges,
     _floyd_branch,
     _floyd_set,
@@ -19,7 +21,7 @@ from decaycent.generation import (
     pairs_connected,
     sample_connected_gnp,
 )
-from decaycent.graph import distance_matrix
+from decaycent.graph import distance_matrix, graph_from_pair_arrays
 
 
 def dfs_connected(n, edges):
@@ -165,11 +167,12 @@ def batched_sample(n, p, seed, max_rejects):
 
 
 class TestSamplerMatchesPerAttemptChoice:
-    # p = 1 on both choice branches; sparse Floyd settings; (200, .02)
-    # mixes the branches, since its counts straddle pop // 50 = 398
-    @pytest.mark.parametrize("n,p", [(5, 1.0), (30, 1.0), (200, 1.0), (10, 0.05),
-                                     (50, 0.04), (100, 0.03), (141, 0.05),
-                                     (200, 0.01), (200, 0.02)])
+    # p = 1 on both choice branches; (2, .3) and (3, .5) reach a full draw
+    # after rejected attempts; sparse Floyd settings; (200, .02) mixes the
+    # branches, since its counts straddle pop // 50 = 398
+    @pytest.mark.parametrize("n,p", [(5, 1.0), (30, 1.0), (200, 1.0), (2, 0.3),
+                                     (3, 0.5), (10, 0.05), (50, 0.04), (100, 0.03),
+                                     (141, 0.05), (200, 0.01), (200, 0.02)])
     @pytest.mark.parametrize("max_rejects", [0, 1, 5, 50])
     def test_same_graph_and_rejects(self, n, p, max_rejects):
         for idx in range(3):
@@ -177,10 +180,10 @@ class TestSamplerMatchesPerAttemptChoice:
             assert batched_sample(n, p, seed, max_rejects) == \
                 per_attempt_sample(n, p, seed, max_rejects), (n, p, max_rejects, idx)
 
-    @pytest.mark.parametrize("n,p", [(20, 0.1), (50, 0.04), (100, 0.03)])
+    @pytest.mark.parametrize("n,p", [(20, 0.1), (50, 0.04), (100, 0.03), (2, 0.0003)])
     def test_same_accepted_graph_across_batches(self, n, p):
         # budgets past one batch of edge counts, so accepts land in later
-        # batches too
+        # batches too; at (2, .0003) every accept is a full draw
         for idx in range(4):
             seed = TrialSeed(32, idx)
             assert batched_sample(n, p, seed, 3 * BATCH_SIZE) == \
@@ -196,6 +199,28 @@ class TestSampleConnectedGnp:
     def test_p_one_gives_complete_graph(self):
         g, _ = sample_connected_gnp(6, 1.0, TrialSeed(1, 0))
         assert g.edges.tolist() == [list(e) for e in combinations(range(6), 2)]
+
+    # both choice branches: pop 9870 (Floyd) and 10011 (tail shuffle)
+    @pytest.mark.parametrize("n", [5, 141, 142, 200])
+    def test_p_one_draws_no_edges(self, n, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("a full draw needs no edge draw, sweep or sort")
+
+        for name in ("_floyd_vals", "_draw_edges", "pairs_connected",
+                     "graph_from_pair_arrays"):
+            monkeypatch.setattr(generation, name, no_call)
+        g, rejects = sample_connected_gnp(n, 1.0, TrialSeed(3, 1))
+        assert rejects == 0
+        assert g.num_edges == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 200])
+    def test_complete_graph_is_every_pair(self, n):
+        g = _complete_graph(n)
+        want = graph_from_pair_arrays(n, *np.triu_indices(n, 1))
+        assert g.n == want.n
+        for got, ref in ((g.indptr, want.indptr), (g.indices, want.indices)):
+            assert got.dtype == ref.dtype
+            assert got.tolist() == ref.tolist()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

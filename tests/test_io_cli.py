@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import decaycent
-from decaycent import centrality, cli
+from decaycent import centrality, cli, verification
 from decaycent.cli import main
 from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph
@@ -342,7 +342,7 @@ class TestCheckCommand:
         def no_work(**kwargs):
             raise AssertionError("ran the checks before checking --out")
 
-        monkeypatch.setattr(cli, "run_all_checks", no_work)
+        monkeypatch.setattr(verification, "run_all_checks", no_work)
         out = tmp_path / bad
         assert main(["check", "--graphs", "4", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -385,9 +385,25 @@ class TestStartup:
             "run_trial(g, DeltaGrid.uniform(99))\n"
             "assert 'scipy' not in sys.modules, 'loaded by run_trial'\n"
         )
-        src = str(Path(decaycent.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(code)
+
+    def test_cli_import_skips_pool_and_checks(self):
+        """``multiprocessing`` loads only for a run on several workers, and
+        ``verification`` only for ``check``."""
+        run_fresh(
+            "import sys\n"
+            "import decaycent.cli\n"
+            "for name in ('multiprocessing', 'decaycent.verification'):\n"
+            "    assert name not in sys.modules, name\n"
+        )
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    package, and require it to exit 0."""
+    src = str(Path(decaycent.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,13 +1,14 @@
 """Trial records, ranks, the rule-of-thumb pick, aggregation, determinism."""
 
 import json
+import multiprocessing
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from decaycent import ordering, simulation
+from decaycent import ordering
 from decaycent.centrality import DeltaGrid, decay_matrix
 from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph, profile_matrix
@@ -367,7 +368,7 @@ class TestWorkerPool:
         class Context:
             Pool = SerialPool
 
-        monkeypatch.setattr(simulation.multiprocessing, "get_context", lambda _: Context)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda _: Context)
         base = dict(n=8, p=0.5, seed=3, grid_points=5)
         assert len(list(iter_trials(SimulationConfig(trials=3, workers=8, **base)))) == 3
         assert len(list(iter_trials(SimulationConfig(trials=1, workers=4, **base)))) == 1
@@ -450,6 +451,17 @@ class TestRunExperiment:
             )
         assert files["a"] == files["b"]
         assert files["a"] == files["c"]
+
+    def test_complete_graph_outputs_across_workers(self, tmp_path):
+        # p = 1 takes the sampler's full-draw path on every trial
+        base = dict(n=12, p=1.0, trials=6, seed=11, grid_points=9)
+        files = []
+        for workers in (1, 2):
+            result = run_experiment(SimulationConfig(workers=workers, **base),
+                                    tmp_path / str(workers))
+            files.append((result.records_path.read_bytes(),
+                          result.aggregate_path.read_bytes()))
+        assert files[0] == files[1]
 
     def test_failed_generations_are_reported_not_dropped(self, tmp_path):
         # max_rejects=1 at G(10, .2): half the generations fail, so both

@@ -129,6 +129,18 @@ def test_mutated_sufficient_condition_is_caught(monkeypatch, target, mutant,
         i, j = failure["pair"]
         dist = floyd_warshall(g)
         assert _exact_decay(dist[i], i, delta) <= _exact_decay(dist[j], j, delta)
+        # and it is the claim's first failing grid value
+        for earlier in (d for d in DeltaGrid.uniform(999).values if lo <= d < delta):
+            assert _exact_decay(dist[i], i, earlier) > _exact_decay(dist[j], j, earlier)
+
+
+def test_half_range_claims_on_a_one_sided_grid():
+    # no grid value is at most 1/2, so the low-delta claims have no
+    # columns to fail on; they still count as cases
+    graphs = sample_graphs(16, n_max=9, seed=6)
+    one_sided = check_half_range_conditions(graphs, DeltaGrid((0.7,)))
+    assert one_sided.passed
+    assert one_sided.cases == check_half_range_conditions(graphs, DeltaGrid((0.3, 0.7))).cases
 
 
 def test_check_reports_seconds_on_stdout_only(tmp_path, capsys):
