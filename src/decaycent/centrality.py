@@ -88,8 +88,8 @@ def decay_centrality(counts: Sequence[int], delta: float) -> float:
 
 
 def live_levels(profiles: np.ndarray) -> int:
-    """Number of leading profile columns that hold every nonzero count (the
-    largest eccentricity among the rows); later columns are all zero."""
+    """Number of leading columns that hold every nonzero entry of some rows
+    of a profile matrix, or of their differences; later columns are zero."""
     live = np.flatnonzero(profiles.any(axis=0))
     return int(live[-1]) + 1 if len(live) else 0
 
@@ -152,11 +152,11 @@ def cvec_from_fvec(fvec: Sequence[int]) -> tuple[float, ...]:
 class CentralityTable:
     """All per-node centrality quantities for one connected graph.
 
-    Built from one profile matrix (:attr:`counts`, shape ``(n, n - 1)``;
-    row ``i`` is node ``i``'s profile).  Degree and farness are exact
-    integers, so closeness (``1/farness``) ties stay exact.  The signed
-    vectors are built on first use only; :meth:`fvec` builds one node's
-    vector.
+    Built from one profile matrix (:attr:`counts`, shape ``(n, D)``, ``D``
+    the diameter); :meth:`profile` pads a row to the ``n - 1`` entries that
+    reports spell out.  Degree and farness are exact integers, so closeness
+    (``1/farness``) ties stay exact.  The signed vectors are built on first
+    use only; :meth:`fvec` builds one node's vector.
     """
 
     graph: Graph
@@ -168,8 +168,13 @@ class CentralityTable:
     def n(self) -> int:
         return self.graph.n
 
+    def profile(self, node: int) -> list[int]:
+        """The node's profile, padded with zeros to ``n - 1`` levels."""
+        row = self.counts[node].tolist()
+        return row + [0] * (self.n - 1 - len(row))
+
     def fvec(self, node: int) -> tuple[int, ...]:
-        return fvec_from_counts(self.counts[node].tolist())
+        return fvec_from_counts(self.profile(node))
 
     @cached_property
     def fvecs(self) -> tuple[tuple[int, ...], ...]:

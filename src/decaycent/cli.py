@@ -194,7 +194,7 @@ def _cmd_compare(args) -> int:
         raise ValueError("compare needs two distinct nodes")
     grid = DeltaGrid.uniform(args.grid_points)
     table = _connected_table(g, args.graph)
-    pi, pj = table.counts[i].tolist(), table.counts[j].tolist()
+    pi, pj = table.profile(i), table.profile(j)
     fi, fj = table.fvec(i), table.fvec(j)
     avec, bvec = dc_difference_coeffs(pi, pj, fi, fj)
     dc = decay_matrix(table.counts[[i, j]], grid)

@@ -176,21 +176,18 @@ def _dijkstra_distances(g: Graph) -> np.ndarray:
 
 
 def profile_matrix(g: Graph) -> np.ndarray:
-    """Distance-count matrix of shape ``(n, n - 1)``; row ``i`` is node
-    ``i``'s profile.  Column ``l - 1`` counts nodes at distance ``l``, so
-    column 0 is the degree, each row sums to ``n - 1``, and entries past
-    the node's eccentricity are zero.
+    """Distance-count matrix of shape ``(n, D)``, ``D`` the diameter; row
+    ``i`` is node ``i``'s profile.  Column ``l - 1`` counts nodes at
+    distance ``l``, so column 0 is the degree, each row sums to ``n - 1``,
+    entries past the node's eccentricity are zero and the last column is
+    not all zero.  A single node gives shape ``(1, 0)``.
 
-    All levels are counted by one ``bincount`` over ``row * (D + 1) + dist``
-    (``D`` the diameter), so the work is O(n^2) whatever the diameter.
+    All levels are counted by one ``bincount`` over ``row * (D + 1) + dist``,
+    so the work is O(n^2) whatever the diameter.
     """
     n = g.n
-    out = np.zeros((n, max(n - 1, 0)), dtype=np.int64)
-    if n <= 1:
-        return out
     dist = distance_matrix(g)
     width = int(dist.max()) + 1
     keys = dist + (np.arange(n, dtype=np.int64) * width)[:, None]
     counts = np.bincount(keys.ravel(), minlength=n * width).reshape(n, width)
-    out[:, : width - 1] = counts[:, 1:]
-    return out
+    return counts[:, 1:]

@@ -270,7 +270,7 @@ def centrality_payload(
             "dc": dcs,
         }
         if full:
-            entry["profile"] = table.counts[i].tolist()
+            entry["profile"] = table.profile(i)
             entry["fvec"] = list(table.fvecs[i])
             entry["cvec"] = list(cvec_from_fvec(table.fvecs[i]))
         nodes.append(entry)

@@ -31,7 +31,6 @@ from .centrality import (
     dc_difference_sign,
     decay_matrix,
     farness_vector,
-    live_levels,
 )
 from .graph import Graph, profile_matrix
 
@@ -179,8 +178,8 @@ def check_low_delta_conditions(ci: Sequence[int], cj: Sequence[int]) -> Sufficie
     ``i`` over ``j`` on the whole range (0, 1/2].
 
     Requires a strict degree surplus ``A1 = deg(i) - deg(j) > 0``.  With
-    ``A_l`` the per-level profile differences and ``n`` the profile length
-    plus one (the node count), the four conditions are:
+    ``A_l`` the per-level profile differences and ``n`` the node count, the
+    four conditions are:
 
     1. ``2*A1 >= (n-1) - deg(j)``
     2. ``4*A1 + 2*A2 >= (n-1) - (deg(j) + dist2(j))``
@@ -188,7 +187,8 @@ def check_low_delta_conditions(ci: Sequence[int], cj: Sequence[int]) -> Sufficie
     4. ``A1 >= max_k |A_1 + ... + A_k|   (k = 2 .. n-2)``
 
     Empty ranges (tiny graphs) make the max zero, so the condition reduces
-    to the precondition.
+    to the precondition.  ``n - 1`` is the total of ``j``'s profile (every
+    other node), so no verdict depends on how far the rows are padded.
     """
     _require_same_length(ci, cj)
     rule = "low-delta-conditions"
@@ -196,14 +196,14 @@ def check_low_delta_conditions(ci: Sequence[int], cj: Sequence[int]) -> Sufficie
     a1 = diffs[0]
     if a1 <= 0:
         return SufficiencyResult(applicable=False, satisfied=frozenset(), rule=rule)
-    n = len(ci) + 1
+    others = sum(int(c) for c in cj)  # n - 1
     deg_j = int(cj[0])
     dist2_j = int(cj[1]) if len(cj) >= 2 else 0
     a2 = diffs[1] if len(diffs) >= 2 else 0
     satisfied: set[int] = set()
-    if 2 * a1 >= (n - 1) - deg_j:
+    if 2 * a1 >= others - deg_j:
         satisfied.add(1)
-    if 4 * a1 + 2 * a2 >= (n - 1) - (deg_j + dist2_j):
+    if 4 * a1 + 2 * a2 >= others - (deg_j + dist2_j):
         satisfied.add(2)
     tail_max = max((abs(d) for d in diffs[1:]), default=0)
     if a1 >= tail_max:
@@ -253,16 +253,15 @@ class MaximizerSets:
 def profile_groups(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a profile matrix: ``(first, inverse, sizes)``.
 
-    Groups are numbered ``0 .. K-1`` in lexicographic order of their live
-    columns.  ``first[k]`` is the lowest node of group ``k``,
+    Groups are numbered ``0 .. K-1`` in lexicographic order of their
+    rows.  ``first[k]`` is the lowest node of group ``k``,
     ``inverse[v]`` the group of node ``v`` and ``sizes[k]`` the group's
     node count, as ``np.unique(..., axis=0)`` returns them, from one
     stable sort of the rows.
     """
-    live = profiles[:, : live_levels(profiles)]
-    n = len(live)
-    order = np.lexsort(live.T[::-1]) if live.shape[1] else np.arange(n)
-    ordered = live[order]
+    n = len(profiles)
+    order = np.lexsort(profiles.T[::-1]) if profiles.shape[1] else np.arange(n)
+    ordered = profiles[order]
     starts = np.ones(n, dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(n, dtype=np.intp)
@@ -424,16 +423,14 @@ def maximizer_sets(
     if g.n == 1:
         only = frozenset((0,))
         return MaximizerSets(only, only, tuple(only for _ in grid.values))
-    first, inverse, sizes = profile_groups(profiles)
+    first, inverse, _ = profile_groups(profiles)
     rows = profiles[first]
-    rows = rows[:, : live_levels(rows)]
     in_deg, in_clos = degree_closeness_winners(rows)
-    members = np.split(np.argsort(inverse, kind="stable"), np.cumsum(sizes)[:-1])
+    by_decay = decay_argmax_sets(rows, grid)
+    nodes = {s: frozenset(np.flatnonzero(np.isin(inverse, list(s))).tolist())
+             for s in set(by_decay)}
     return MaximizerSets(
         by_degree=frozenset(np.flatnonzero(in_deg[inverse]).tolist()),
         by_closeness=frozenset(np.flatnonzero(in_clos[inverse]).tolist()),
-        by_decay=tuple(
-            frozenset(np.concatenate([members[k] for k in s]).tolist())
-            for s in decay_argmax_sets(rows, grid)
-        ),
+        by_decay=tuple(nodes[s] for s in by_decay),
     )

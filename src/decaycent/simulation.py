@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 # dc_difference_sign and decay_matrix are unused: perfbench/tracing.py lookup sites
-from .centrality import DeltaGrid, dc_difference_sign, decay_matrix, live_levels
+from .centrality import DeltaGrid, dc_difference_sign, decay_matrix
 from .generation import (
     DEFAULT_MAX_REJECTS,
     RejectionLimitError,
@@ -126,7 +126,6 @@ def run_trial(
     profiles = profile_matrix(g)
     first, _, sizes = profile_groups(profiles)
     rows = profiles[first]
-    rows = rows[:, : live_levels(rows)]
     in_deg, in_clos = degree_closeness_winners(rows)
     deg_groups = frozenset(np.flatnonzero(in_deg).tolist())
     clos_groups = frozenset(np.flatnonzero(in_clos).tolist())
@@ -251,13 +250,15 @@ def aggregate(records: Sequence[TrialRecord], grid: DeltaGrid) -> AggregateStats
         if len(rec.subset_deg) != npts:
             raise ValueError("record grid length does not match the grid")
 
+    nonint_mask = ~np.array([rec.intersects for rec in records])
+    flags = {
+        field: np.array([getattr(rec, field) for rec in records], dtype=np.int64)
+        for field in ("subset_deg", "subset_clos", "disjoint")
+    }
+
     def colsum(field: str, only_nonint: bool) -> tuple[int, ...]:
-        acc = np.zeros(npts, dtype=np.int64)
-        for rec in records:
-            if only_nonint and rec.intersects:
-                continue
-            acc += np.asarray(getattr(rec, field), dtype=np.int64)
-        return tuple(int(x) for x in acc)
+        rows = flags[field][nonint_mask] if only_nonint else flags[field]
+        return tuple(rows.sum(axis=0).tolist())
 
     nonint = [rec for rec in records if not rec.intersects]
     thresholds = [rec for rec in records if rec.threshold_index is not None]

@@ -45,6 +45,15 @@ from .ordering import (
 MAX_REPORTED_FAILURES = 5
 #: Smallest graph the property checks sample.
 MIN_CHECK_NODES = 4
+#: Grid points and absolute tolerance of the factored-difference check.
+FACTORIZATION_POINTS = 49
+FACTORIZATION_TOL = 1e-10
+#: Grid points of the order properties: 999 values, with 0.5 among them.
+ORDER_POINTS = 999
+#: The decay parameters near 0 and 1 where the limit orders must hold.
+LIMIT_DELTAS = (1e-6, 1 - 1e-6)
+#: Seed of the random triples of the transitivity check.
+TRIPLE_SEED = 0
 
 
 @dataclass
@@ -70,16 +79,14 @@ class PropertyResult:
             )
 
 
-def sample_graphs(
-    count: int, n_max: int, seed: int, n_min: int = MIN_CHECK_NODES
-) -> list[Graph]:
+def sample_graphs(count: int, n_max: int, seed: int) -> list[Graph]:
     """Deterministic batch of small connected graphs with varied size and
-    density."""
+    density, from :data:`MIN_CHECK_NODES` to ``n_max`` nodes."""
     probs = (0.25, 0.4, 0.55, 0.7)
     graphs: list[Graph] = []
-    sizes = list(range(max(2, n_min), n_max + 1))
+    sizes = list(range(MIN_CHECK_NODES, n_max + 1))
     if not sizes:
-        raise ValueError(f"no graph size between {n_min} and n_max={n_max}")
+        raise ValueError(f"no graph size between {MIN_CHECK_NODES} and n_max={n_max}")
     for i in range(count):
         n = sizes[i % len(sizes)]
         p = probs[(i // len(sizes)) % len(probs)]
@@ -122,8 +129,9 @@ def _edge_dump(g: Graph) -> list[list[int]]:
 
 
 def check_bfs_distances(graphs: Sequence[Graph]) -> PropertyResult:
-    """Profile-matrix rows match Floyd-Warshall counts; distances are
-    symmetric; profile counts sum to n - 1."""
+    """Profile-matrix rows, padded to n - 1 levels, match Floyd-Warshall
+    counts, and the matrix is as wide as the Floyd-Warshall diameter;
+    distances are symmetric; profile counts sum to n - 1."""
     res = PropertyResult(name="bfs-distances", cases=0)
     for g in graphs:
         res.cases += 1
@@ -139,7 +147,14 @@ def check_bfs_distances(graphs: Sequence[Graph]) -> PropertyResult:
             )
             for i in range(n)
         ]
-        batch = [tuple(row) for row in profile_matrix(g).tolist()]
+        pm = profile_matrix(g)
+        diameter = int(max(map(max, dist)))
+        if pm.shape[1] != diameter:
+            res.record(graph=_edge_dump(g), problem="profile width",
+                       width=pm.shape[1], diameter=diameter)
+            continue
+        pad = (0,) * (n - 1 - diameter)
+        batch = [tuple(row) + pad for row in pm.tolist()]
         for i in range(n):
             if batch[i] != expected[i]:
                 res.record(
@@ -155,13 +170,12 @@ def check_bfs_distances(graphs: Sequence[Graph]) -> PropertyResult:
     return res
 
 
-def check_difference_factorizations(
-    graphs: Sequence[Graph], grid: DeltaGrid | None = None, tol: float = 1e-10
-) -> PropertyResult:
-    """Both factored difference forms match the naive per-pair evaluation at
-    every grid point, and the coefficient vectors sum to zero exactly."""
-    if grid is None:
-        grid = DeltaGrid.uniform(99)
+def check_difference_factorizations(graphs: Sequence[Graph]) -> PropertyResult:
+    """Both factored difference forms match the naive per-pair evaluation
+    within :data:`FACTORIZATION_TOL` at every point of the
+    :data:`FACTORIZATION_POINTS`-point grid, and the coefficient vectors
+    sum to zero exactly."""
+    grid = DeltaGrid.uniform(FACTORIZATION_POINTS)
     res = PropertyResult(name="difference-factorizations", cases=0)
     for g in graphs:
         dist = floyd_warshall(g)
@@ -186,7 +200,7 @@ def check_difference_factorizations(
                     )
                     fa = dc_difference_factored(avec, delta)
                     fb = dc_difference_factored_eps(bvec, delta)
-                    if abs(fa - direct) > tol or abs(fb - direct) > tol:
+                    if abs(fa - direct) > FACTORIZATION_TOL or abs(fb - direct) > FACTORIZATION_TOL:
                         res.record(
                             graph=_edge_dump(g), pair=[i, j], delta=delta,
                             direct=direct, factored=fa, factored_eps=fb,
@@ -278,13 +292,10 @@ def _check_order_claims(
     return res
 
 
-def check_dominance_checkers(
-    graphs: Sequence[Graph], grid: DeltaGrid | None = None
-) -> PropertyResult:
+def check_dominance_checkers(graphs: Sequence[Graph]) -> PropertyResult:
     """Whenever a full-range dominance check fires, the strict decay order
-    holds at every grid point."""
-    if grid is None:
-        grid = DeltaGrid.uniform(999)
+    holds at every point of the :data:`ORDER_POINTS`-point grid."""
+    grid = DeltaGrid.uniform(ORDER_POINTS)
     every = np.arange(len(grid))
 
     def claims_of(ci, cj, fi, fj):
@@ -305,7 +316,7 @@ def check_half_range_conditions(
     """Fired low-delta conditions imply strict order on (0, 0.5]; fired
     high-delta conditions imply strict order on [0.5, 1)."""
     if grid is None:
-        grid = DeltaGrid.uniform(999)
+        grid = DeltaGrid.uniform(ORDER_POINTS)
     deltas = np.asarray(grid.values)
     low_cols = np.flatnonzero(deltas <= 0.5)
     high_cols = np.flatnonzero(deltas >= 0.5)
@@ -344,14 +355,10 @@ def exact_decay_argmax(profiles, delta: float | Fraction) -> frozenset[int]:
     return frozenset(i for i, v in enumerate(scaled) if v == best)
 
 
-def check_limit_orderings(
-    graphs: Sequence[Graph],
-    low_delta: float = 1e-6,
-    high_delta: float = 1 - 1e-6,
-) -> PropertyResult:
+def check_limit_orderings(graphs: Sequence[Graph]) -> PropertyResult:
     """Near the endpoints the exact decay argmax coincides with the
-    lexicographic winners: by distance profile at the low end and by the
-    reciprocal farness view at the high end."""
+    lexicographic winners: by distance profile at the low end of
+    :data:`LIMIT_DELTAS` and by the reciprocal farness view at the high end."""
     res = PropertyResult(name="limit-orderings", cases=0)
     for g in graphs:
         res.cases += 1
@@ -362,27 +369,18 @@ def check_limit_orderings(
         keys = [cvec_sort_key(fvec_from_counts(r)) for r in rows]
         best_key = max(keys)
         lexmax_high = {i for i, k in enumerate(keys) if k == best_key}
-        argmax_low = exact_decay_argmax(pm, low_delta)
-        argmax_high = exact_decay_argmax(pm, high_delta)
-        if argmax_low != lexmax_low:
-            res.record(
-                graph=_edge_dump(g), delta=low_delta,
-                lex_winners=sorted(lexmax_low), decay_winners=sorted(argmax_low),
-            )
-        if argmax_high != lexmax_high:
-            res.record(
-                graph=_edge_dump(g), delta=high_delta,
-                lex_winners=sorted(lexmax_high), decay_winners=sorted(argmax_high),
-            )
+        for delta, lexmax in zip(LIMIT_DELTAS, (lexmax_low, lexmax_high)):
+            argmax = exact_decay_argmax(pm, delta)
+            if argmax != lexmax:
+                res.record(graph=_edge_dump(g), delta=delta,
+                           lex_winners=sorted(lexmax), decay_winners=sorted(argmax))
     return res
 
 
-def check_dominance_partial_order(
-    graphs: Sequence[Graph], seed: int = 0
-) -> PropertyResult:
+def check_dominance_partial_order(graphs: Sequence[Graph]) -> PropertyResult:
     """The dominance comparison behaves as a strict partial order on
     profile vectors: self-equal, antisymmetric, transitive on triples."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(TRIPLE_SEED)
     res = PropertyResult(name="dominance-partial-order", cases=0)
     rel = {
         Relation.GREATER: 1,
@@ -439,7 +437,7 @@ def run_all_checks(
     small = batch[: max(1, len(batch) // 4)]
     runs = [
         lambda: check_bfs_distances(batch),
-        lambda: check_difference_factorizations(small, grid=DeltaGrid.uniform(49)),
+        lambda: check_difference_factorizations(small),
         lambda: check_reciprocal_reversal(batch),
         lambda: check_dominance_checkers(batch),
         lambda: check_half_range_conditions(batch),

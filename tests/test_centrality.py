@@ -26,7 +26,7 @@ from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph, profile_matrix
 from decaycent.verification import sample_graphs
 
-from conftest import oracle_decay
+from conftest import oracle_decay, oracle_profile
 
 
 class TestDeltaGrid:
@@ -62,6 +62,19 @@ class TestCentralityTable:
         assert t.degrees == (1, 2, 1)
         assert t.farness == (3, 2, 3)
         assert t.counts.tolist() == [[1, 1], [2, 0], [1, 1]]
+
+    def test_profile_pads_to_n_minus_1(self, star4):
+        # counts stop at the diameter; a report's row runs to level n - 1
+        t = centrality_table(star4)
+        assert t.counts.shape == (4, 2)
+        assert [t.profile(i) for i in range(4)] == [[3, 0, 0], [1, 2, 0], [1, 2, 0], [1, 2, 0]]
+        graphs = [build_graph(6, [(i, i + 1) for i in range(5)]),
+                  build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])]
+        for g in graphs + sample_graphs(12, n_max=10, seed=8):
+            t = centrality_table(g)
+            for i in range(g.n):
+                assert t.profile(i) == list(oracle_profile(g, i))
+                assert t.fvec(i) == fvec_from_counts(oracle_profile(g, i))
 
     def test_p3_fvecs_by_hand(self, p3):
         # node 0 profile (1,1): entry2 = -C(2,2)*1 = -1; node 1 (2,0): entry2 = 0
@@ -287,7 +300,7 @@ class TestDecayErrorBound:
 
 
 def coeffs(t, i, j):
-    return dc_difference_coeffs(t.counts[i], t.counts[j], t.fvec(i), t.fvec(j))
+    return dc_difference_coeffs(t.profile(i), t.profile(j), t.fvec(i), t.fvec(j))
 
 
 class TestDifferenceCoeffs:

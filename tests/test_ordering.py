@@ -16,7 +16,7 @@ from decaycent.centrality import (
     decay_matrix,
 )
 from decaycent.generation import TrialSeed, sample_connected_gnp
-from decaycent.graph import build_graph, profile_matrix
+from decaycent.graph import build_graph, distance_matrix, profile_matrix
 from decaycent.ordering import (
     Relation,
     check_farness_dominance,
@@ -231,6 +231,24 @@ class TestLowDeltaConditions:
         assert not res.applicable
         assert res.satisfied == frozenset()
         assert not res.fires
+
+    def test_verdicts_do_not_depend_on_row_width(self):
+        # n = 10: j's total, 9, is n - 1.  Read from the length of these
+        # rows, n would be 4, and conditions 1 and 2 would fire although
+        # the two curves tie at delta = 1/2
+        ci, cj = [3, 3, 3], [2, 6, 1]
+        assert check_low_delta_conditions(ci, cj).satisfied == frozenset()
+        assert decay_centrality(ci, 0.5) == decay_centrality(cj, 0.5)
+        assert check_low_delta_conditions(ci + [0] * 6, cj + [0] * 6).satisfied == frozenset()
+        for g in sample_graphs(200, n_max=14, seed=4):
+            diameter = int(distance_matrix(g).max())
+            live = profile_matrix(g)[:, :diameter]
+            padded = np.pad(live, ((0, 0), (0, g.n - 1 - diameter))).tolist()
+            live = live.tolist()
+            for i in range(g.n):
+                for j in range(g.n):
+                    assert check_low_delta_conditions(live[i], live[j]) == (
+                        check_low_delta_conditions(padded[i], padded[j]))
 
     def test_fired_condition_implies_low_range_order(self):
         deltas = [k / 100 for k in range(1, 51)]  # (0, 0.5]
