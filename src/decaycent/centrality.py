@@ -17,10 +17,10 @@ pinned to the direct evaluation by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class DeltaGrid:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.values)
 
     def fractions(self) -> tuple[Fraction, ...]:
         """Exact rational values of the grid floats, built once per grid."""
@@ -156,13 +153,15 @@ class CentralityTable:
     the diameter); :meth:`profile` pads a row to the ``n - 1`` entries that
     reports spell out.  Degree and farness are exact integers, so closeness
     (``1/farness``) ties stay exact.  The signed vectors are built on first
-    use only; :meth:`fvec` builds one node's vector.
+    use only; :meth:`fvec` builds one node's vector.  The table owns the
+    report's decay matrix: :meth:`decay_values` builds it once per grid.
     """
 
     graph: Graph
     counts: np.ndarray
     degrees: tuple[int, ...]
     farness: tuple[int, ...]
+    _decay: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -181,13 +180,19 @@ class CentralityTable:
         return tuple(self.fvec(i) for i in range(self.n))
 
     def decay_values(self, grid: DeltaGrid) -> np.ndarray:
-        return decay_matrix(self.counts, grid)
+        """The ``(n, len(grid))`` :func:`decay_matrix` of the profiles,
+        built on the first call for ``grid`` and returned read-only, so
+        every writer of one report shares it."""
+        dc = self._decay.get(grid)
+        if dc is None:
+            dc = self._decay[grid] = decay_matrix(self.counts, grid)
+            dc.flags.writeable = False
+        return dc
 
 
 def centrality_table(g: Graph) -> CentralityTable:
-    """Populate every quantity; requires a connected graph with ``n >= 2``."""
-    if g.n < 2:
-        raise ValueError("centrality table needs at least two nodes")
+    """Populate every quantity of a connected graph; :func:`profile_matrix`
+    raises for a disconnected graph and for one with fewer than two nodes."""
     profiles = profile_matrix(g)
     return CentralityTable(
         graph=g,

@@ -147,9 +147,12 @@ def _connected_table(g, name: str):
         ) from None
 
 
-def _check_out_paths(*paths: str | None) -> None:
-    """Every output path must name a file in an existing directory, checked
-    before any file is written, so a bad path leaves no partial output."""
+def _check_out_paths(*paths: str | None, graph: str | None = None) -> None:
+    """Every output path must name a file in an existing directory, and no
+    two of the outputs and the input ``graph`` may resolve to the same
+    file.  Checked before any file is read or written, so a bad path
+    leaves no partial output and never replaces the input."""
+    seen = {Path(graph).resolve(): graph} if graph else {}
     for path in filter(None, paths):
         target = Path(path)
         if not target.parent.is_dir():
@@ -158,22 +161,25 @@ def _check_out_paths(*paths: str | None) -> None:
             )
         if target.is_dir():
             raise IsADirectoryError(f"{path}: is a directory, expected a file path")
+        key = target.resolve()
+        if key in seen:
+            raise ValueError(f"{path}: names the same file as {seen[key]}")
+        seen[key] = path
 
 
 def _cmd_compute(args) -> int:
-    _check_out_paths(args.out, args.json_out)
+    _check_out_paths(args.out, args.json_out, graph=args.graph)
     g = read_graph(args.graph, fmt=args.format)
     grid = DeltaGrid.uniform(args.grid_points)
     table = _connected_table(g, args.graph)
-    dc = table.decay_values(grid)
     sets = maximizer_sets(g, grid, profiles=table.counts)
-    csv_text = centrality_csv(table, grid, dc)
+    csv_text = centrality_csv(table, grid)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.json_out:
-        payload = centrality_payload(table, grid, sets, full=args.full, dc=dc)
+        payload = centrality_payload(table, grid, sets, full=args.full)
         report = with_envelope(
             {"command": "compute", "graph": str(args.graph),
              "grid_points": args.grid_points, "full": bool(args.full)},
@@ -184,7 +190,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _check_out_paths(args.out)
+    _check_out_paths(args.out, graph=args.graph)
     g = read_graph(args.graph, fmt=args.format)
     i, j = args.i, args.j
     for node in (i, j):
@@ -278,6 +284,11 @@ def _cmd_check(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
 
 
+#: One handler per subcommand; argparse admits no other command name.
+_COMMANDS = {"compute": _cmd_compute, "compare": _cmd_compare,
+             "simulate": _cmd_simulate, "check": _cmd_check}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -286,15 +297,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -180,12 +180,15 @@ def profile_matrix(g: Graph) -> np.ndarray:
     ``i`` is node ``i``'s profile.  Column ``l - 1`` counts nodes at
     distance ``l``, so column 0 is the degree, each row sums to ``n - 1``,
     entries past the node's eccentricity are zero and the last column is
-    not all zero.  A single node gives shape ``(1, 0)``.
+    not all zero.  This is the package's one two-node rule: fewer than two
+    nodes raise ``ValueError``, so every caller gets ``D >= 1``.
 
     All levels are counted by one ``bincount`` over ``row * (D + 1) + dist``,
     so the work is O(n^2) whatever the diameter.
     """
     n = g.n
+    if n < 2:
+        raise ValueError(f"distance profiles need at least two nodes, got {n}")
     dist = distance_matrix(g)
     width = int(dist.max()) + 1
     keys = dist + (np.arange(n, dtype=np.int64) * width)[:, None]

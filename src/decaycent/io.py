@@ -226,16 +226,13 @@ def with_envelope(config_echo: dict[str, Any], payload: dict[str, Any]) -> str:
     return json_text(out) + "\n"
 
 
-def centrality_csv(
-    table: CentralityTable, grid: DeltaGrid, dc: np.ndarray | None = None
-) -> str:
-    """CSV rows ``node,degree,farness,closeness,dc@...`` for every node.
-    ``dc`` is ``table.decay_values(grid)``, when the caller has it already.
+def centrality_csv(table: CentralityTable, grid: DeltaGrid) -> str:
+    """CSV rows ``node,degree,farness,closeness,dc@...`` for every node,
+    with the decay values of ``table.decay_values(grid)``, which a later
+    :func:`centrality_payload` on the same table and grid reuses.
 
     Each row is one ``%`` template: ``"%.9g" % x`` spells every float,
     special values included, as :func:`fmt_float` does."""
-    if dc is None:
-        dc = table.decay_values(grid)
     header = ["node", "degree", "farness", "closeness"] + [
         f"dc@{fmt_float(d)}" for d in grid.values
     ]
@@ -243,25 +240,20 @@ def centrality_csv(
     lines = [",".join(header)]
     lines.extend(
         row % (i, degree, far, 1.0 / far, *dcs)
-        for i, (degree, far, dcs) in enumerate(zip(table.degrees, table.farness, dc.tolist()))
+        for i, (degree, far, dcs) in enumerate(
+            zip(table.degrees, table.farness, table.decay_values(grid).tolist()))
     )
     return "\n".join(lines) + "\n"
 
 
-def centrality_payload(
-    table: CentralityTable,
-    grid: DeltaGrid,
-    maximizers: MaximizerSets,
-    full: bool = False,
-    dc: np.ndarray | None = None,
-) -> dict[str, Any]:
+def centrality_payload(table: CentralityTable, grid: DeltaGrid, maximizers: MaximizerSets,
+                       full: bool = False) -> dict[str, Any]:
     """JSON payload for the centrality report; ``full`` adds the profile and
-    signed-farness / reciprocal vectors per node.  ``dc`` is
-    ``table.decay_values(grid)``, when the caller has it already."""
-    if dc is None:
-        dc = table.decay_values(grid)
+    signed-farness / reciprocal vectors per node.  The decay values come
+    from ``table.decay_values(grid)``, so a :func:`centrality_csv` of the
+    same table and grid has already built them."""
     nodes = []
-    for i, dcs in enumerate(dc.tolist()):
+    for i, dcs in enumerate(table.decay_values(grid).tolist()):
         entry: dict[str, Any] = {
             "node": i,
             "degree": table.degrees[i],

@@ -260,7 +260,7 @@ def profile_groups(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     stable sort of the rows.
     """
     n = len(profiles)
-    order = np.lexsort(profiles.T[::-1]) if profiles.shape[1] else np.arange(n)
+    order = np.lexsort(profiles.T[::-1])
     ordered = profiles[order]
     starts = np.ones(n, dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -416,13 +416,12 @@ def maximizer_sets(
     come from exact integer comparisons (:func:`degree_closeness_winners`);
     the per-delta decay winners use the exact-confirmation path of
     :func:`decay_argmax_sets`.  ``profiles`` is the graph's
-    :func:`profile_matrix`, when the caller has it already.
+    :func:`profile_matrix` when the caller has it already (``compute``
+    passes its table's ``counts``); building it here raises as
+    :func:`profile_matrix` does for fewer than two nodes.
     """
     if profiles is None:
         profiles = profile_matrix(g)
-    if g.n == 1:
-        only = frozenset((0,))
-        return MaximizerSets(only, only, tuple(only for _ in grid.values))
     first, inverse, _ = profile_groups(profiles)
     rows = profiles[first]
     in_deg, in_clos = degree_closeness_winners(rows)

@@ -62,8 +62,6 @@ class TrialRecord:
     """
 
     trial_index: int
-    n: int
-    p: float
     rejects: int
     intersects: bool
     subset_deg: tuple[bool, ...]
@@ -114,7 +112,6 @@ def run_trial(
     *,
     trial_index: int = 0,
     rejects: int = 0,
-    p: float = float("nan"),
 ) -> TrialRecord:
     """Evaluate one connected graph over the whole grid.
 
@@ -169,8 +166,6 @@ def run_trial(
     )
     return TrialRecord(
         trial_index=trial_index,
-        n=g.n,
-        p=p,
         rejects=rejects,
         intersects=intersects,
         subset_deg=tuple(subset_deg),
@@ -331,14 +326,9 @@ def _run_single(config: SimulationConfig, trial_index: int):
         )
     except RejectionLimitError:
         return trial_index, None
-    record = run_trial(
-        graph,
-        config.grid(),
-        trial_index=trial_index,
-        rejects=rejects,
-        p=config.p,
+    return trial_index, run_trial(
+        graph, config.grid(), trial_index=trial_index, rejects=rejects
     )
-    return trial_index, record
 
 
 def iter_trials(config: SimulationConfig) -> Iterator[tuple[int, TrialRecord | None]]:

@@ -133,7 +133,8 @@ class TestBuildGraph:
         one = build_graph(1, [])
         assert one.num_edges == 0 and one.edges.shape == (0, 2)
         assert distance_matrix(one).tolist() == [[0]]
-        assert profile_matrix(one).shape == (1, 0)
+        with pytest.raises(ValueError, match="at least two nodes, got 1"):
+            profile_matrix(one)
         with pytest.raises(DisconnectedGraphError, match=r"disconnected \(no edges\)"):
             profile_matrix(build_graph(3, []))
 

@@ -169,6 +169,24 @@ class TestComputeCommand:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["p3.txt", "subdir"]
         assert not any((tmp_path / "subdir").iterdir())
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("g.txt", "3\n0 1\n", ":1: expected header 'n m', got '3'"),
+        ("g.txt", "3 2\n0 1\n2\n", ":3: expected two node ids, got '2'"),
+        ("g.txt", "3 1\n0 5\n", ": edge (0, 5) has an endpoint outside 0..2"),
+        ("g.txt", "3 1\n1 1\n", ": self-loop (1, 1) is not allowed"),
+        ("g.json", '{"n": 3, "edges": [', ": invalid JSON: "),
+    ], ids=["one-token-header", "one-id-edge", "endpoint-out-of-range", "self-loop",
+            "invalid-json"])
+    def test_bad_graph_file_is_data_error(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "t.csv"
+        assert main(["compute", "--graph", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_stdout_default(self, p3_file, capsys):
         assert main(["compute", "--graph", str(p3_file), "--grid-points", "2"]) == 0
         out = capsys.readouterr().out
@@ -246,6 +264,25 @@ class TestCompareCommand:
         assert str(path) in err and "disconnected" in err
 
 
+@pytest.mark.parametrize("argv, clash", [
+    (["compute", "--out", "{dir}/r.json", "--json", "{dir}/r.json"],
+     ("{dir}/r.json", "{dir}/r.json")),
+    (["compute", "--out", "{dir}/./p3.txt"], ("{dir}/./p3.txt", "{dir}/p3.txt")),
+    (["compute", "--out", "{dir}/t.csv", "--json", "{dir}/p3.txt"],
+     ("{dir}/p3.txt", "{dir}/p3.txt")),
+    (["compare", "-i", "0", "-j", "1", "--out", "{dir}/./p3.txt"],
+     ("{dir}/./p3.txt", "{dir}/p3.txt")),
+], ids=["csv-is-json", "csv-is-input", "json-is-input", "compare-out-is-input"])
+def test_outputs_and_input_need_their_own_files(p3_file, tmp_path, capsys, argv, clash):
+    # paths are compared resolved, so "./p3.txt" names the input file too
+    command, *rest = (a.format(dir=tmp_path) for a in argv)
+    later, earlier = (c.format(dir=tmp_path) for c in clash)
+    assert main([command, "--graph", str(p3_file), *rest]) == 2
+    assert capsys.readouterr().err == f"error: {later}: names the same file as {earlier}\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["p3.txt"]
+    assert p3_file.read_text() == P3_TEXT
+
+
 class TestSimulateCommand:
     def test_requires_seed(self, tmp_path, capsys):
         code = main(
@@ -280,6 +317,29 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "override" / "summary.json").read_text())
         assert summary["config"]["trials"] == 2
 
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 8\nseed 5\n")
+        out = tmp_path / "sim"
+        argv = ["simulate", "--config", str(cfg), "--p", "0.4", "--trials", "2",
+                "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {cfg}:2: expected key=value, got 'seed 5'")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["--n", "--p", "--trials", "--out-dir"])
+    def test_missing_setting_is_usage_error(self, tmp_path, capsys, missing):
+        args = {"--n": "8", "--p": "0.4", "--trials": "2", "--seed": "5",
+                "--out-dir": str(tmp_path / "sim")}
+        del args[missing]
+        assert main(["simulate", *(x for kv in args.items() for x in kv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: simulate needs {missing} (flag or config file)")
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("bogus = 1\n")
@@ -300,12 +360,13 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--p", "1.5"), ("--seed", "-1"), ("--grid-points", "0"), ("--n", "1"),
-         ("--max-rejects", "-1")],
+         ("--max-rejects", "-1"), ("--trials", "0"), ("--workers", "0")],
     )
     def test_bad_input_leaves_no_output(self, tmp_path, capsys, flag, value):
         out = tmp_path / "sim"
-        args = {"--n": "8", "--p": "0.4", "--seed": "5", "--grid-points": "7", flag: value}
-        argv = ["simulate", "--trials", "2", "--out-dir", str(out)]
+        args = {"--n": "8", "--p": "0.4", "--seed": "5", "--grid-points": "7",
+                "--trials": "2", flag: value}
+        argv = ["simulate", "--out-dir", str(out)]
         for key, val in args.items():
             argv += [key, val]
         assert main(argv) == 2

@@ -23,10 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decaycent import centrality
 from decaycent.centrality import DeltaGrid, centrality_table
 from decaycent.generation import TrialSeed, sample_connected_gnp
 from decaycent.graph import build_graph
-from decaycent.io import centrality_csv, fmt_float, json_text, jsonable
+from decaycent.io import centrality_csv, centrality_payload, fmt_float, json_text, jsonable
+from decaycent.ordering import maximizer_sets
 from decaycent.simulation import (
     SimulationConfig,
     _aggregate_rows,
@@ -179,7 +181,26 @@ class TestCentralityCsv:
         grid = DeltaGrid.uniform(99)
         want = self.per_field_csv(table, grid)
         assert centrality_csv(table, grid) == want
-        assert centrality_csv(table, grid, table.decay_values(grid)) == want
+
+    def test_report_builds_one_decay_matrix(self, monkeypatch):
+        # the CSV and the JSON payload of one report share the table's matrix
+        g = build_graph(60, [(i, i + 1) for i in range(59)])
+        table, grid = centrality_table(g), DeltaGrid.uniform(99)
+        builds = []
+        original = centrality.decay_matrix
+
+        def counted(profiles, grid):
+            builds.append(grid)
+            return original(profiles, grid)
+
+        monkeypatch.setattr(centrality, "decay_matrix", counted)
+        csv_text = centrality_csv(table, grid)
+        payload = centrality_payload(table, grid, maximizer_sets(g, grid, table.counts))
+        assert builds == [grid]
+        dc = table.decay_values(grid)
+        assert not dc.flags.writeable
+        assert [node["dc"] for node in payload["nodes"]] == dc.tolist()
+        assert csv_text.splitlines()[1].endswith(",".join(fmt_float(v) for v in dc[0]))
 
 
 def csv_text(rows) -> str:

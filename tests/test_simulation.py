@@ -21,6 +21,7 @@ from decaycent.ordering import (
 )
 from decaycent.simulation import (
     SimulationConfig,
+    _record_rows,
     aggregate,
     iter_trials,
     nearest_rank_percentile,
@@ -84,6 +85,23 @@ class TestRunTrial:
         rec = run_trial(crossing_graph, grid)
         if not rec.intersects and rec.threshold_index is not None:
             assert rec.transition_clean is not None
+
+    def test_no_closeness_threshold(self, star4):
+        # one grid point, 1/2: node 2 alone has the largest degree and node
+        # 5 alone the least farness, and the decay winner is node 2
+        g = build_graph(7, [(0, 3), (1, 3), (1, 5), (2, 4), (2, 5), (2, 6), (4, 6)])
+        grid = DeltaGrid.uniform(1)
+        sets = maximizer_sets(g, grid)
+        assert sets.by_degree == {2} and sets.by_closeness == {5}
+        rec = run_trial(g, grid)
+        assert not rec.intersects
+        assert rec.subset_deg == (True,) and rec.subset_clos == (False,)
+        assert rec.threshold_index is None and rec.transition_clean is None
+        assert _record_rows(rec, grid) == "0,0,0,,,0.5,1,0,0,0,1,2,1,1,2,2\n"
+        # the star's closeness set holds its decay winner from the start
+        with_threshold = run_trial(star4, grid)
+        assert with_threshold.threshold_index == 0
+        assert aggregate([with_threshold, rec], grid).count_threshold == 1
 
 
 def brute_force_ranks(g, grid):
@@ -338,11 +356,11 @@ class TestRankCertification:
             return values, np.full_like(bound, np.inf)
 
         monkeypatch.setattr(ordering, "dc_difference_sign", counting_sign)
-        shipped = run_trial(g, DeltaGrid.uniform(99), p=0.03)
+        shipped = run_trial(g, DeltaGrid.uniform(99))
         certified_calls = len(calls)
         calls.clear()
         monkeypatch.setattr(ordering, "dc_difference_float", no_certificate)
-        forced = run_trial(g, DeltaGrid.uniform(99), p=0.03)
+        forced = run_trial(g, DeltaGrid.uniform(99))
         assert shipped == forced
         assert len(calls) > 1000
         assert certified_calls <= 0.01 * len(calls)
@@ -433,7 +451,7 @@ class TestRunExperiment:
         cfg = SimulationConfig(n=8, p=0.4, trials=1, seed=90, grid_points=9)
         result = run_experiment(cfg, tmp_path / "out")
         g, rejects = sample_connected_gnp(8, 0.4, TrialSeed(90, 0))
-        rec = run_trial(g, DeltaGrid.uniform(9), trial_index=0, rejects=rejects, p=0.4)
+        rec = run_trial(g, DeltaGrid.uniform(9), trial_index=0, rejects=rejects)
         agg = result.aggregate
         assert agg.trials == 1
         assert agg.count_intersect == int(rec.intersects)

@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 
 from decaycent import cli, verification
-from decaycent.centrality import DeltaGrid, dc_difference_sign, decay_matrix
-from decaycent.graph import build_graph
+from decaycent.centrality import (
+    DeltaGrid,
+    dc_difference_factored,
+    dc_difference_sign,
+    decay_matrix,
+    fvec_from_counts,
+)
+from decaycent.graph import build_graph, profile_matrix
 from decaycent.ordering import (
     ComparisonVerdict,
     Relation,
@@ -18,8 +24,12 @@ from decaycent.ordering import (
     lex_compare,
 )
 from decaycent.verification import (
+    check_bfs_distances,
+    check_difference_factorizations,
     check_dominance_checkers,
+    check_dominance_partial_order,
     check_half_range_conditions,
+    check_limit_orderings,
     check_reciprocal_reversal,
     floyd_warshall,
     run_all_checks,
@@ -132,6 +142,80 @@ def test_mutated_sufficient_condition_is_caught(monkeypatch, target, mutant,
         # and it is the claim's first failing grid value
         for earlier in (d for d in DeltaGrid.uniform(999).values if lo <= d < delta):
             assert _exact_decay(dist[i], i, earlier) > _exact_decay(dist[j], j, earlier)
+
+
+def _padded_to_n_minus_1(g):
+    # the (n, n - 1) zero-filled layout, wider than the diameter
+    pm = profile_matrix(g)
+    return np.pad(pm, ((0, 0), (0, g.n - 1 - pm.shape[1])))
+
+
+def _levels_reversed(g):
+    return profile_matrix(g)[:, ::-1]
+
+
+def _fvec_unsigned(counts):
+    return tuple(abs(f) for f in fvec_from_counts(counts))
+
+
+def _factored_without_one_minus_delta(avec, delta):
+    return dc_difference_factored(avec, delta) / (1.0 - delta)
+
+
+def _raw_farness_key(fvec):
+    # orders the farness integers themselves, not their reciprocals
+    return tuple(fvec)
+
+
+def _weak_dominance(a, b, rule="ud"):
+    # prefix sums compared with >= only, so equal vectors come out greater
+    sa, sb = np.cumsum(a), np.cumsum(b)
+    if (sa >= sb).all():
+        return ComparisonVerdict(relation=Relation.GREATER, rule=rule)
+    if (sa <= sb).all():
+        return ComparisonVerdict(relation=Relation.LESS, rule=rule)
+    return ComparisonVerdict(relation=Relation.INCOMPARABLE, rule=rule)
+
+
+@pytest.mark.parametrize("target, mutant, check, keys", [
+    ("profile_matrix", _padded_to_n_minus_1, check_bfs_distances,
+     {"problem", "width", "diameter"}),
+    ("profile_matrix", _levels_reversed, check_bfs_distances,
+     {"node", "expected", "batch"}),
+    ("fvec_from_counts", _fvec_unsigned, check_difference_factorizations,
+     {"pair", "problem"}),
+    ("dc_difference_factored", _factored_without_one_minus_delta,
+     check_difference_factorizations, {"pair", "delta", "direct", "factored"}),
+    ("cvec_sort_key", _raw_farness_key, check_limit_orderings,
+     {"delta", "lex_winners", "decay_winners"}),
+    ("ud_compare", _weak_dominance, check_dominance_partial_order, {"node", "problem"}),
+], ids=["bfs-width", "bfs-rows", "factorization-sums", "factorization-values",
+        "limit-orderings", "partial-order"])
+def test_mutated_property_code_is_caught(monkeypatch, target, mutant, check, keys):
+    graphs = sample_graphs(16, n_max=9, seed=6)
+    assert check(graphs).passed
+    monkeypatch.setattr(verification, target, mutant)
+    res = check(graphs)
+    assert not res.passed
+    assert {"graph", *keys} <= res.failures[0].keys()
+
+
+def test_failing_property_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(verification, "check_low_delta_conditions",
+                        _low_on_any_degree_surplus)
+    out = tmp_path / "check.json"
+    argv = ["check", "--graphs", "16", "--n-max", "9", "--seed", "6", "--out", str(out)]
+    assert cli.main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[FAIL] half-range-conditions-sound: ") for line in lines) == 1
+    assert sum(line.startswith("[PASS] ") for line in lines) == 6
+    shown = [json.loads(line.split("counterexample: ", 1)[1])
+             for line in lines if line.startswith("    counterexample: {")]
+    report = {p["name"]: p for p in json.loads(out.read_text())["properties"]}
+    failed = report["half-range-conditions-sound"]
+    assert failed["passed"] is False
+    assert failed["failures"] and failed["failures"] == shown
+    assert all(p["passed"] for p in report.values() if p is not failed)
 
 
 def test_half_range_claims_on_a_one_sided_grid():
