@@ -305,6 +305,9 @@ def main(argv=None) -> int:
             AllTrialsFailedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -88,7 +88,8 @@ def parse_edgelist(text: str, name: str = "<edgelist>") -> Graph:
         )
     try:
         return build_graph(n, edges)
-    except ValueError as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
+        # the last two: a node count too large for the CSR arrays
         raise GraphParseError(f"{name}: {exc}") from None
 
 
@@ -110,7 +111,7 @@ def graph_from_json_dict(data: Any, name: str = "<json>") -> Graph:
                     f"node count and endpoints must be JSON integers, got {value!r}"
                 )
         return build_graph(data["n"], edges)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError, OverflowError) as exc:
         raise GraphParseError(f"{name}: {exc}") from None
 
 
@@ -118,7 +119,10 @@ def read_graph(path: str | Path, fmt: str = "auto") -> Graph:
     """Load a graph file; ``fmt`` is ``edgelist``, ``json``, or ``auto``
     (extension, then a leading ``{`` sniff)."""
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path}: not UTF-8 text: {exc}") from None
     if fmt == "auto":
         if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
             fmt = "json"

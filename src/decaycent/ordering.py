@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .centrality import (
     DeltaGrid,
+    _prefix_sums,
     dc_difference_float,
     dc_difference_sign,
     decay_matrix,
@@ -169,8 +169,7 @@ class SufficiencyResult:
 def _max_abs_prefix(diffs: Sequence[int]) -> int:
     """``max_k |d_1 + ... + d_k|`` over ``k = 2 .. len(diffs) - 1``; 0 when
     that range is empty."""
-    sums = list(accumulate(diffs[:-1]))
-    return max((abs(x) for x in sums[1:]), default=0)
+    return max((abs(x) for x in _prefix_sums(diffs)[1:]), default=0)
 
 
 def check_low_delta_conditions(ci: Sequence[int], cj: Sequence[int]) -> SufficiencyResult:

@@ -15,8 +15,9 @@ number of workers yields byte-identical output files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -82,6 +83,32 @@ class TrialRecord:
         """True when the sets intersect yet some grid value pushes the decay
         maximizers outside the intersection."""
         return self.intersects and not all(self.subset_core)
+
+    @property
+    def disjoint_somewhere(self) -> bool:
+        """True when some grid value's decay maximizers avoid both sets."""
+        return any(self.disjoint)
+
+
+#: ``records.csv``'s per-delta columns after ``delta``, in file order: the
+#: grid-aligned :class:`TrialRecord` fields, each with its ``%`` format
+#: (``"%.9g" % x`` spells a float as :func:`decaycent.io.fmt_float` does).
+RECORD_COLUMNS = (
+    ("subset_deg", "%d"), ("subset_clos", "%d"), ("subset_core", "%d"), ("disjoint", "%d"),
+    ("rank_deg_best", "%d"), ("rank_clos_best", "%d"), ("rank_rule", "%d"),
+    ("rank_deg_avg", "%.9g"), ("rank_clos_avg", "%.9g"), ("rule_pick", "%d"),
+)
+
+#: The 0/1 flags whose per-delta counts ``aggregate.csv`` reports as
+#: frequencies, over all trials and over the non-intersecting ones (the
+#: :class:`AggregateStats` fields ``n_<flag>`` and ``n_<flag>_nonint``).
+FLAG_COLUMNS = ("subset_deg", "subset_clos", "disjoint")
+
+#: The ranks whose per-delta mean and nearest-rank 5th / 95th percentiles
+#: ``aggregate.csv`` reports, in file order (one :class:`RankStats` field of
+#: :class:`AggregateStats` each).
+RANK_COLUMNS = ("rank_deg_best", "rank_clos_best", "rank_rule", "rank_deg_avg",
+                "rank_clos_avg")
 
 
 def _detect_threshold(
@@ -224,68 +251,43 @@ def nearest_rank_percentile(sorted_vals: np.ndarray, q: float) -> np.ndarray:
     return sorted_vals[idx - 1]
 
 
-def _rank_stats(matrix: np.ndarray) -> RankStats:
-    means = matrix.mean(axis=0)
-    s = np.sort(matrix, axis=0)
-    p5 = nearest_rank_percentile(s, 0.05)
-    p95 = nearest_rank_percentile(s, 0.95)
-    return RankStats(
-        mean=tuple(float(x) for x in means),
-        p5=tuple(float(x) for x in p5),
-        p95=tuple(float(x) for x in p95),
-    )
+def _stack(records: Sequence[TrialRecord], columns: Sequence[str], dtype) -> np.ndarray:
+    """The named per-delta fields as one (trials, columns, grid) array."""
+    return np.array([[getattr(rec, c) for c in columns] for rec in records], dtype=dtype)
 
 
 def aggregate(records: Sequence[TrialRecord], grid: DeltaGrid) -> AggregateStats:
     """Fold trial records (in trial order) into frequency and rank curves."""
     if not records:
         raise ValueError("cannot aggregate an empty record list")
-    npts = len(grid)
-    for rec in records:
-        if len(rec.subset_deg) != npts:
-            raise ValueError("record grid length does not match the grid")
+    flags = _stack(records, FLAG_COLUMNS, np.int64)
+    if flags.shape[2] != len(grid):
+        raise ValueError("record grid length does not match the grid")
 
-    nonint_mask = ~np.array([rec.intersects for rec in records])
-    flags = {
-        field: np.array([getattr(rec, field) for rec in records], dtype=np.int64)
-        for field in ("subset_deg", "subset_clos", "disjoint")
-    }
-
-    def colsum(field: str, only_nonint: bool) -> tuple[int, ...]:
-        rows = flags[field][nonint_mask] if only_nonint else flags[field]
-        return tuple(rows.sum(axis=0).tolist())
-
-    nonint = [rec for rec in records if not rec.intersects]
-    thresholds = [rec for rec in records if rec.threshold_index is not None]
-    clean = sum(1 for rec in nonint if rec.transition_clean is True)
-    dirty = sum(1 for rec in nonint if rec.transition_clean is False)
-
-    def ranks(field: str) -> RankStats:
-        return _rank_stats(
-            np.array([getattr(rec, field) for rec in records], dtype=np.float64)
-        )
+    nonint = [not rec.intersects for rec in records]
+    counts = flags.sum(axis=0).tolist()
+    counts_nonint = flags[nonint].sum(axis=0).tolist()
+    ranks = _stack(records, RANK_COLUMNS, np.float64)
+    means = ranks.mean(axis=0).tolist()
+    ranks.sort(axis=0)
+    p5 = nearest_rank_percentile(ranks, 0.05).tolist()
+    p95 = nearest_rank_percentile(ranks, 0.95).tolist()
+    clean = [rec.transition_clean for rec in records if not rec.intersects]
 
     return AggregateStats(
         trials=len(records),
         grid=grid,
-        count_intersect=sum(1 for rec in records if rec.intersects),
+        count_intersect=nonint.count(False),
         count_intersect_dc_escapes=sum(1 for rec in records if rec.escapes_core),
-        count_nonintersect=len(nonint),
-        count_disjoint_any_delta=sum(1 for rec in records if any(rec.disjoint)),
-        count_threshold=len(thresholds),
-        count_transition_clean=clean,
-        count_transition_violations=dirty,
-        n_subset_deg=colsum("subset_deg", False),
-        n_subset_clos=colsum("subset_clos", False),
-        n_disjoint=colsum("disjoint", False),
-        n_subset_deg_nonint=colsum("subset_deg", True),
-        n_subset_clos_nonint=colsum("subset_clos", True),
-        n_disjoint_nonint=colsum("disjoint", True),
-        rank_deg_best=ranks("rank_deg_best"),
-        rank_clos_best=ranks("rank_clos_best"),
-        rank_rule=ranks("rank_rule"),
-        rank_deg_avg=ranks("rank_deg_avg"),
-        rank_clos_avg=ranks("rank_clos_avg"),
+        count_nonintersect=len(clean),
+        count_disjoint_any_delta=sum(1 for rec in records if rec.disjoint_somewhere),
+        count_threshold=sum(1 for rec in records if rec.threshold_index is not None),
+        count_transition_clean=clean.count(True),
+        count_transition_violations=clean.count(False),
+        **{f"n_{c}": tuple(row) for c, row in zip(FLAG_COLUMNS, counts)},
+        **{f"n_{c}_nonint": tuple(row) for c, row in zip(FLAG_COLUMNS, counts_nonint)},
+        **{c: RankStats(tuple(m), tuple(lo), tuple(hi))
+           for c, m, lo, hi in zip(RANK_COLUMNS, means, p5, p95)},
     )
 
 
@@ -353,29 +355,11 @@ def iter_trials(config: SimulationConfig) -> Iterator[tuple[int, TrialRecord | N
         )
 
 
-RECORDS_HEADER = [
-    "trial",
-    "rejects",
-    "intersects",
-    "threshold_index",
-    "transition_clean",
-    "delta",
-    "subset_deg",
-    "subset_clos",
-    "subset_core",
-    "disjoint",
-    "rank_deg_best",
-    "rank_clos_best",
-    "rank_rule",
-    "rank_deg_avg",
-    "rank_clos_avg",
-    "rule_pick",
-]
+RECORDS_HEADER = ["trial", "rejects", "intersects", "threshold_index", "transition_clean",
+                  "delta", *(name for name, _ in RECORD_COLUMNS)]
 
-
-#: The fields of a ``records.csv`` line after the trial's own five;
-#: ``"%.9g" % x`` spells a float as :func:`decaycent.io.fmt_float` does.
-_RECORD_ROW = "%.9g,%d,%d,%d,%d,%d,%d,%d,%.9g,%.9g,%d\n"
+#: The fields of a ``records.csv`` line after the trial's own five.
+_RECORD_ROW = "%.9g," + ",".join(fmt for _, fmt in RECORD_COLUMNS) + "\n"
 
 
 def _record_rows(rec: TrialRecord, grid: DeltaGrid) -> str:
@@ -383,50 +367,31 @@ def _record_rows(rec: TrialRecord, grid: DeltaGrid) -> str:
     thr = "" if rec.threshold_index is None else str(rec.threshold_index)
     clean = "" if rec.transition_clean is None else str(int(rec.transition_clean))
     head = f"{rec.trial_index},{rec.rejects},{int(rec.intersects)},{thr},{clean},"
-    return "".join(head + _RECORD_ROW % fields for fields in zip(
-        grid.values, rec.subset_deg, rec.subset_clos, rec.subset_core,
-        rec.disjoint, rec.rank_deg_best, rec.rank_clos_best, rec.rank_rule,
-        rec.rank_deg_avg, rec.rank_clos_avg, rec.rule_pick,
-    ))
+    columns = (getattr(rec, name) for name, _ in RECORD_COLUMNS)
+    return "".join(head + _RECORD_ROW % values for values in zip(grid.values, *columns))
 
 
-AGGREGATE_HEADER = (
-    ["delta", "n_trials", "freq_subset_deg", "freq_subset_clos", "freq_disjoint"]
-    + ["n_nonintersect", "freq_subset_deg_nonint", "freq_subset_clos_nonint",
-       "freq_disjoint_nonint"]
-    + [
-        f"rank_{family}_{stat}"
-        for family in ("deg_best", "clos_best", "rule", "deg_avg", "clos_avg")
-        for stat in ("mean", "p5", "p95")
-    ]
-)
+AGGREGATE_HEADER = [
+    "delta", "n_trials", *(f"freq_{c}" for c in FLAG_COLUMNS),
+    "n_nonintersect", *(f"freq_{c}_nonint" for c in FLAG_COLUMNS),
+    *(f"{c}_{stat.name}" for c in RANK_COLUMNS for stat in fields(RankStats)),
+]
 
 
 def _aggregate_rows(agg: AggregateStats) -> str:
     """The ``aggregate.csv`` lines, one per grid point; the
     non-intersecting frequencies are empty when no trial had disjoint
     degree and closeness sets."""
-    t = agg.trials
-    nn = agg.count_nonintersect
-    row = ("%.9g,%d,%.9g,%.9g,%.9g,%d" + (",%.9g,%.9g,%.9g" if nn else ",,,")
-           + ",%.9g" * 15 + "\n")
-    stats = [
-        stat
-        for fam in (agg.rank_deg_best, agg.rank_clos_best, agg.rank_rule,
-                    agg.rank_deg_avg, agg.rank_clos_avg)
-        for stat in (fam.mean, fam.p5, fam.p95)
-    ]
-    lines = []
-    for gi, delta in enumerate(agg.grid.values):
-        fields = [delta, t, agg.n_subset_deg[gi] / t, agg.n_subset_clos[gi] / t,
-                  agg.n_disjoint[gi] / t, nn]
-        if nn:
-            fields += [agg.n_subset_deg_nonint[gi] / nn,
-                       agg.n_subset_clos_nonint[gi] / nn,
-                       agg.n_disjoint_nonint[gi] / nn]
-        fields += [stat[gi] for stat in stats]
-        lines.append(row % tuple(fields))
-    return "".join(lines)
+    t, nn = agg.trials, agg.count_nonintersect
+    freqs = [[c / t for c in getattr(agg, f"n_{f}")] for f in FLAG_COLUMNS]
+    freqs_nonint = [[c / nn for c in getattr(agg, f"n_{f}_nonint")]
+                    for f in FLAG_COLUMNS if nn]
+    stats = [getattr(getattr(agg, c), stat.name)
+             for c in RANK_COLUMNS for stat in fields(RankStats)]
+    row = ("%.9g,%d" + ",%.9g" * len(freqs) + ",%d"
+           + (",%.9g" if nn else ",") * len(freqs) + ",%.9g" * len(stats) + "\n")
+    return "".join(row % values for values in zip(
+        agg.grid.values, repeat(t), *freqs, repeat(nn), *freqs_nonint, *stats))
 
 
 @dataclass(frozen=True)
@@ -478,13 +443,8 @@ def run_experiment(config: SimulationConfig, out_dir: str | Path) -> ExperimentR
             "trials_requested": config.trials,
             "trials_succeeded": agg.trials,
             "failed_trials": failed,
-            "count_intersect": agg.count_intersect,
-            "count_intersect_dc_escapes": agg.count_intersect_dc_escapes,
-            "count_nonintersect": agg.count_nonintersect,
-            "count_disjoint_any_delta": agg.count_disjoint_any_delta,
-            "count_threshold": agg.count_threshold,
-            "count_transition_clean": agg.count_transition_clean,
-            "count_transition_violations": agg.count_transition_violations,
+            **{f.name: getattr(agg, f.name) for f in fields(AggregateStats)
+               if f.name.startswith("count_")},
         },
     }))
     return ExperimentResult(

@@ -15,12 +15,15 @@ so the config echo is the same on every machine.
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from decaycent.graph import build_graph
 from decaycent.cli import main
 from decaycent.io import write_edgelist
+from decaycent.simulation import SimulationConfig, run_experiment
 
 from conftest import CROSSING_EDGES, CROSSING_PAIR
 
@@ -79,6 +82,15 @@ PINNED_COMPARE = {
 
 PINNED_VERSION = "0.0.0+pinned"
 
+#: The benchmark's pinned batches, keyed ``n:p:trials:seed`` (read, never
+#: written here).  Master seeds 0 and 1000 are the first two batches of each
+#: ``simulate`` workload, so its many-trial aggregates are checked by the
+#: tests, not only inside a benchmark run.
+BENCH_PINS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)
+BENCH_REPLAY = sorted(key for key in BENCH_PINS if key.rsplit(":", 1)[1] in ("0", "1000"))
+
 
 def file_digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -125,3 +137,11 @@ def test_compare_digests(name, graph_files):
     assert main(["compare", "--graph", f"{name}.txt", "-i", str(i), "-j", str(j),
                  "--out", "c.json"]) == 0
     assert file_digest(graph_files / "c.json") == PINNED_COMPARE[name]
+
+
+@pytest.mark.parametrize("key", BENCH_REPLAY)
+def test_benchmark_pins_replay(key, tmp_path):
+    n, p, trials, seed = key.split(":")
+    run_experiment(SimulationConfig(int(n), float(p), int(trials), int(seed)), tmp_path)
+    got = {name: file_digest(tmp_path / f"{name}.csv") for name in ("records", "aggregate")}
+    assert got == BENCH_PINS[key]

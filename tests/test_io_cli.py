@@ -187,6 +187,30 @@ class TestComputeCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, data", [
+        ("g.json", b'{"n": 1000000000000000000, "edges": []}'),
+        ("g.json", b'{"n": 10000000000000000000, "edges": []}'),
+        ("g.txt", b"\xff\xfe3 2\n"),
+    ], ids=["node-count-too-large-to-allocate", "node-count-beyond-int64", "not-utf8"])
+    def test_unbuildable_graph_file_is_data_error(self, tmp_path, capsys, name, data):
+        # 6.94 EiB of CSR row starts: the allocation fails at once, it is never made
+        path = tmp_path / name
+        path.write_bytes(data)
+        out = tmp_path / "t.csv"
+        assert main(["compute", "--graph", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_memory_error_is_data_error(self, p3_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "centrality_table", exhausted)
+        assert main(["compute", "--graph", str(p3_file)]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
     def test_stdout_default(self, p3_file, capsys):
         assert main(["compute", "--graph", str(p3_file), "--grid-points", "2"]) == 0
         out = capsys.readouterr().out
