@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import get_type_hints
 
@@ -59,7 +60,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The whole argument tree, built once per process, on the first
+    :func:`main` call; importing this module does not build it."""
     parser = _Parser(prog="decaycent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

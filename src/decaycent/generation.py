@@ -215,10 +215,10 @@ def _floyd_set(pop: int, vals: np.ndarray) -> np.ndarray:
 def _complete_graph(n: int) -> Graph:
     """K_n, its CSR written in order: row ``i`` lists every node but ``i``.
     The same arrays as :func:`graph_from_pair_arrays` gives for every pair,
-    with no key sort."""
-    rows = np.repeat(np.arange(n), n - 1)
-    cols = np.tile(np.arange(n - 1), n)
-    return Graph(n=n, indptr=np.arange(n + 1) * (n - 1), indices=cols + (cols >= rows))
+    with no key sort, built by one broadcast."""
+    cols = np.arange(n - 1)
+    indices = (cols + (cols >= np.arange(n)[:, None])).ravel()
+    return Graph(n=n, indptr=np.arange(n + 1) * (n - 1), indices=indices)
 
 
 def _first_connected(

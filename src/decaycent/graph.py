@@ -91,7 +91,8 @@ def graph_from_pair_arrays(n: int, us: np.ndarray, vs: np.ndarray) -> Graph:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs geodesic distances as an ``(n, n)`` int array.
+    """All-pairs geodesic distances as a fresh ``(n, n)`` int64 array, which
+    the caller may write over.
 
     A level-synchronous BFS from every source at once on packed bitsets
     (Then et al., "The More the Merrier", VLDB 2014).  ``ball_l[i]`` is the
@@ -184,13 +185,15 @@ def profile_matrix(g: Graph) -> np.ndarray:
     nodes raise ``ValueError``, so every caller gets ``D >= 1``.
 
     All levels are counted by one ``bincount`` over ``row * (D + 1) + dist``,
-    so the work is O(n^2) whatever the diameter.
+    so the work is O(n^2) whatever the diameter.  The keys are written over
+    the fresh matrix :func:`distance_matrix` returns, so one ``(n, n)``
+    array is allocated per call.
     """
     n = g.n
     if n < 2:
         raise ValueError(f"distance profiles need at least two nodes, got {n}")
-    dist = distance_matrix(g)
-    width = int(dist.max()) + 1
-    keys = dist + (np.arange(n, dtype=np.int64) * width)[:, None]
+    keys = distance_matrix(g)
+    width = int(keys.max()) + 1
+    keys += (np.arange(n, dtype=np.int64) * width)[:, None]
     counts = np.bincount(keys.ravel(), minlength=n * width).reshape(n, width)
     return counts[:, 1:]

@@ -335,8 +335,7 @@ def decay_argmax_sets(rows: np.ndarray, grid: DeltaGrid) -> tuple[frozenset[int]
     themselves cannot order a long path's centre rows).  The set is the
     leader and the candidates that tie with it.
     """
-    deltas = np.asarray(grid.values)
-    fracs = np.array(grid.fractions(), dtype=object)
+    deltas, fracs = grid.array, grid.fraction_array()
     front = dominance_front(rows)
     leaders = front[decay_matrix(rows[front], grid).argmax(axis=0)]
     out = [frozenset((lead,)) for lead in leaders.tolist()]
@@ -390,7 +389,7 @@ def decay_ranks(
         out[:] = 1 + (sizes @ (ge & ~le))[:, None]
         ks, at = (~ge & ~le).nonzero()
         if len(ks):
-            signs, _ = decay_signs(rows, ks, block[at], grid.values, grid.fractions())
+            signs, _ = decay_signs(rows, ks, block[at], grid.array, grid.fraction_array())
             out += np.where(np.arange(len(block))[:, None] == at, sizes[ks], 0) @ (signs > 0)
     return ranks
 

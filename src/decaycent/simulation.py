@@ -178,7 +178,7 @@ def run_trial(
     # rule of thumb: the max-degree set below 1/2, the max-closeness set
     # above, their union at 1/2.  Candidates share a rank only when their
     # decay values tie exactly; the pick is then the lowest node id.
-    deltas = np.asarray(grid.values)
+    deltas = grid.array
     candidate = (
         in_deg[:, None] & (deltas <= 0.5) | in_clos[:, None] & (deltas >= 0.5)
     )

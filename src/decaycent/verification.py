@@ -255,8 +255,7 @@ def _check_order_claims(
     call per block of at most ``RANK_BLOCK // len(columns)`` claims, so
     memory stays bounded on large graphs.
     """
-    deltas = np.asarray(grid.values)
-    fracs = np.array(grid.fractions(), dtype=object)
+    deltas, fracs = grid.array, grid.fraction_array()
     for g in graphs:
         pm = profile_matrix(g)
         rows = pm.tolist()
@@ -317,7 +316,7 @@ def check_half_range_conditions(
     high-delta conditions imply strict order on [0.5, 1)."""
     if grid is None:
         grid = DeltaGrid.uniform(ORDER_POINTS)
-    deltas = np.asarray(grid.values)
+    deltas = grid.array
     low_cols = np.flatnonzero(deltas <= 0.5)
     high_cols = np.flatnonzero(deltas >= 0.5)
 

@@ -98,3 +98,20 @@ def test_tracer_spans_every_evaluation_layer():
                 evaluate(g, grid)
             names = {span.name for span in tracer.spans}
             assert {"graph.profile", "centrality.decay_matrix", "ordering.argmax"} <= names
+
+
+def test_tracer_spans_distances_and_fractions():
+    # a traced run averages every layer's spans, and an empty layer ends it
+    # with StatisticsError: the trial and the maximizer sets must reach the
+    # traced all-pairs distances and grid fractions on K_8 and on the
+    # crossing graph alike
+    tracing = load_bench_module("tracing")
+    grid = DeltaGrid.uniform(19)
+    complete = build_graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)])
+    for g in (complete, build_graph(8, CROSSING_EDGES)):
+        for evaluate in (run_trial, maximizer_sets):
+            tracer = tracing.Tracer()
+            with tracer.installed():
+                evaluate(g, grid)
+            names = {span.name for span in tracer.spans}
+            assert {"graph.distance", "centrality.fractions"} <= names

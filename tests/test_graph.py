@@ -1,6 +1,7 @@
 """Graph construction, all-pairs distances and distance profiles
 (profile-matrix rows)."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -156,6 +157,20 @@ class TestProfileRows:
         for g in DISCONNECTED:
             with pytest.raises(DisconnectedGraphError, match="disconnected"):
                 profile_matrix(g)
+
+    def test_one_square_array_per_call(self):
+        # the bincount keys are written over the fresh distance matrix, so
+        # a call holds one n x n int64 array, not two
+        g, _ = sample_connected_gnp(200, 0.03, TrialSeed(1, 0), max_rejects=10**6)
+        want = profile_matrix(g)
+        tracemalloc.start()
+        try:
+            got = profile_matrix(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want.tolist()
+        assert peak < 2 * g.n**2 * 8
 
     def test_profile_matrix_examples(self, p3, star4):
         assert profile_matrix(p3).tolist() == [[1, 1], [2, 0], [1, 1]]

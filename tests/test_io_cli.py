@@ -483,6 +483,33 @@ class TestStartup:
         )
 
 
+    def test_cli_import_leaves_the_parser_unbuilt(self):
+        """The argument tree is built on the first ``main()`` call, so the
+        import does not pay for it."""
+        run_fresh(
+            "import decaycent.cli\n"
+            "assert decaycent.cli._build_parser.cache_info().currsize == 0\n"
+        )
+
+    def test_one_parser_serves_every_call(self, tmp_path, p3_file, capsys):
+        """The parser built once per process parses each call afresh: a
+        repeated ``simulate`` writes the same bytes after a usage error and
+        a ``compute`` in between."""
+        def simulate(out):
+            return main(["simulate", "--n", "8", "--p", "0.4", "--trials", "3",
+                         "--seed", "5", "--grid-points", "7", "--out-dir", str(out)])
+
+        assert simulate(tmp_path / "a") == 0
+        assert main(["simulate", "--n", "8", "--p", "0.4"]) == 1
+        assert "usage error: simulate needs --trials" in capsys.readouterr().err
+        assert main(["compute", "--graph", str(p3_file),
+                     "--out", str(tmp_path / "p3.csv")]) == 0
+        assert simulate(tmp_path / "b") == 0
+        for name in ("records.csv", "aggregate.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert cli._build_parser.cache_info().currsize == 1
+
+
 def run_fresh(code):
     """Run ``code`` in a new interpreter that imports this checkout's
     package, and require it to exit 0."""
