@@ -26,11 +26,17 @@ pairs.  That call has two branches:
   for ``i = k-1 .. 1``.
 * A partial tail shuffle of all ``pop`` indices otherwise.
 
-Floyd attempts are replayed in chunks: one ``rng.integers(0, highs)``
-call makes the bounded draws of many consecutive attempts.  numpy's
-per-element bounded draw consumes the stream exactly as ``choice`` does;
-``tests/test_generation.py`` checks this, set for set and draw for draw,
-on the installed numpy.  The shuffle's draws are consumed but not applied,
+Floyd attempts are replayed in chunks: :func:`_floyd_vals` makes the
+bounded draws of many consecutive attempts at once, from PCG64's raw
+64-bit words, without calling numpy's bounded draw.  So the replay
+depends on four details of numpy's, which ``tests/test_generation.py``
+checks, set for set and draw for draw, on the installed numpy: PCG64 cuts
+a word into two 32-bit values, low half first, and buffers the high half
+in its state (``has_uint32``, ``uinteger``) for the next 32-bit draw; a
+draw on ``[0, b)`` is Lemire's multiply-shift, redrawn while the low half
+of ``x * b`` is below ``(2**32 - b) % b``; a step on ``[0, 0]`` (bound 1)
+draws nothing; and every bound fits in 32 bits, which holds while ``pop <=
+2**32 - 1``.  The shuffle's draws are consumed but not applied,
 because the order of an edge set does not change the graph.  A chunk may
 draw past the attempt that is accepted, or past the rejection budget.
 That is still exact: each batch's stream is thrown away once its batch
@@ -163,23 +169,109 @@ def _floyd_branch(pop: int, ks: np.ndarray) -> np.ndarray:
     return (pop <= 10000) | (ks <= pop // 50)
 
 
+def _bounds(pop: int, k: int) -> np.ndarray:
+    """The bounds ``b`` of the ``2k - 1`` draws on ``[0, b)`` that one
+    Floyd-branch ``choice(pop, k, replace=False)`` call makes, as uint32:
+    rising from ``pop - k + 1`` to ``pop`` (Floyd's draws on ``[0, j]``),
+    then falling from ``k`` to 2 (the shuffle's draws on ``[0, i]``); a
+    one-pair call does not shuffle.  Read-only, as it may be cached."""
+    row = np.concatenate([np.arange(pop - k + 1, pop + 1),
+                          np.arange(k, 1, -1)]).astype(np.uint32)
+    row.flags.writeable = False
+    return row
+
+
+#: :func:`_bounds` of the calls that can share a chunk (``2k - 1 <=
+#: CHUNK_DRAWS``), built once: at most 256 rows of at most ``CHUNK_DRAWS``
+#: uint32 bounds, 8 MiB.  A larger call is a chunk of its own, and its row
+#: is built per call.
+_cached_bounds = lru_cache(maxsize=256)(_bounds)
+
+
+def _lemire_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """numpy's bounded draws on ``[0, b)``, one per ``b`` of ``bounds``
+    (uint32, each at least 2), as int64; ``rng`` ends where those draws
+    leave it.
+
+    numpy draws on ``[0, b)`` by Lemire's multiply-shift (D. Lemire, "Fast
+    Random Integer Generation in an Interval", ACM TOMACS 29(1), 2019): of
+    the 64-bit product ``x * b`` of the next 32-bit value ``x`` and ``b``,
+    the high half is the draw, unless the low half is below ``(2**32 - b)
+    % b``; then ``x`` is discarded and the draw is made again with the next
+    value.  PCG64 cuts each 64-bit word into two 32-bit values, low half
+    first, and holds the high half in its state (``has_uint32``,
+    ``uinteger``) for the next one.  Here the words come from
+    ``random_raw``: a held half is used first, and the products are
+    vectorised, each rejection shifting the rest of the values by one.
+    Then the state is written back as numpy's draws leave it: a high half
+    left over is held, and ``uinteger`` is the high half of the last word
+    cut, held or not.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    held = state["has_uint32"]
+    m = len(bounds)
+
+    def values(count: int) -> np.ndarray:
+        # the next 32-bit values, low half of each word first on any byte order
+        return bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
+
+    xs = values(m - held)
+    if held:
+        xs = np.concatenate([np.array([state["uinteger"]], np.uint32), xs])
+    out = np.empty(m, np.uint64)
+    done = used = 0
+    while done < m:
+        need = m - done
+        if used + need > len(xs):
+            xs = np.concatenate([xs, values(used + need - len(xs))])
+        prod = np.multiply(xs[used:used + need], bounds[done:], dtype=np.uint64)
+        low = prod.astype(np.uint32)
+        stop = need
+        near = low < bounds[done:]  # every rejection is among these
+        if near.any():
+            at = np.flatnonzero(near)
+            b = bounds[done:][at].astype(np.uint64)
+            rejected = at[low[at] < (np.uint64(1 << 32) - b) % b]
+            if rejected.size:
+                stop = int(rejected[0])
+                used += 1
+        np.right_shift(prod[:stop], np.uint64(32), out=out[done:done + stop])
+        done += stop
+        used += stop
+    if len(xs):  # else nothing was drawn or held
+        state = bitgen.state
+        state["has_uint32"] = int(used < len(xs))
+        state["uinteger"] = int(xs[-1])
+        bitgen.state = state
+    return out.view(np.int64)  # every draw is below 2**32
+
+
 def _floyd_vals(rng: np.random.Generator, pop: int, ks: np.ndarray) -> np.ndarray:
     """Floyd's vals of consecutive Floyd-branch ``choice(pop, k,
     replace=False)`` calls, one per ``k`` of ``ks``, concatenated.
 
-    It makes every bounded draw those calls make, in one
-    ``rng.integers(0, highs)`` call, so ``rng`` ends where they leave it.
-    Per call, step ``t`` of its ``2k - 1`` draws has ``highs`` rising from
-    ``pop - k + 1`` to ``pop`` while ``t < k`` (Floyd's draws on ``[0,
-    j]``), then falling from ``k`` to 2 (the shuffle's draws on ``[0,
-    i]``); a one-pair call does not shuffle.
+    It makes every bounded draw those calls make, with the bounds of
+    :func:`_bounds`, by :func:`_lemire_draws`, so ``rng`` ends where they
+    leave it.  A full call's first Floyd step is on ``[0, 0]`` and, as in
+    numpy, draws nothing.  Valid while ``pop <= 2**32 - 1``, that is ``n <=
+    92682`` nodes; :func:`_pair_index` cannot allocate a larger ``n``.
     """
-    lens = 2 * ks - 1
-    ends = np.cumsum(lens)
-    t = np.arange(ends[-1]) - np.repeat(ends - lens, lens)
-    k = np.repeat(ks, lens)
-    floyd = t < k
-    return rng.integers(0, np.where(floyd, pop - k + 1 + t, 2 * k - t))[floyd]
+    k_list = ks.tolist()
+    bounds = np.concatenate([
+        _cached_bounds(pop, k) if 2 * k <= CHUNK_DRAWS else _bounds(pop, k)
+        for k in k_list
+    ])
+    # each call's k Floyd draws, then its k - 1 shuffle draws
+    steps = (ks[:, None] - [0, 1]).ravel()
+    floyd = np.repeat(np.arange(len(steps)) % 2 == 0, steps)
+    if pop in k_list:
+        draws = np.zeros(len(bounds), np.int64)
+        live = bounds > 1
+        draws[live] = _lemire_draws(rng, bounds[live])
+    else:
+        draws = _lemire_draws(rng, bounds)
+    return draws[floyd]
 
 
 def _floyd_set(pop: int, vals: np.ndarray) -> np.ndarray:

@@ -81,8 +81,13 @@ def choice_layout_broken(pop, k):
         f"numpy {np.__version__}: Generator.choice({pop}, {k}, replace=False) no "
         "longer draws Floyd's k values on [0, j] for j = pop-k .. pop-1 and then "
         "the shuffle's k-1 values on [0, i] for i = k-1 .. 1, switching to a "
-        "tail shuffle only when pop > 10000 and k > pop // 50; the sampler's "
-        "batched replay of that layout (generation._floyd_vals) is out of date"
+        "tail shuffle only when pop > 10000 and k > pop // 50; or its bounded "
+        "draws no longer take PCG64's 32-bit values low half of each 64-bit word "
+        "first, with the high half buffered in the state (has_uint32, uinteger), "
+        "or no longer redraw by Lemire's rule (low half of x * b below "
+        "(2**32 - b) % b), or a step on [0, 0] now draws a value.  The sampler's "
+        "replay of that layout for pop <= 2**32 - 1 (generation._floyd_vals, by "
+        "generation._lemire_draws) is out of date"
     )
 
 
@@ -136,6 +141,66 @@ class TestFloydReplay:
         # the repeat, then j=4 because 3 was taken as a j, then j=5
         assert _floyd_set(6, np.array([1, 1, 3, 3])).tolist() == [1, 3, 4, 5]
         assert _floyd_set(6, np.array([2, 0, 2, 4])).tolist() == [2, 0, 4, 5]
+
+
+def replay_matches_choice(seed, pop, ks, held=False):
+    """Replay consecutive ``rng.choice(pop, k, replace=False)`` calls, one
+    per ``k`` of ``ks``, against the calls themselves, from generators that
+    hold a buffered 32-bit half at entry when ``held``.  Asserts the same
+    sets and the same generator state after; returns that state."""
+    by_choice, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    if held:
+        # one draw on [0, 7) takes the low half of a word, buffering the high
+        by_choice.integers(0, 7)
+        replay.integers(0, 7)
+        assert replay.bit_generator.state["has_uint32"]
+    broken = choice_layout_broken(pop, ks)
+    wants = [by_choice.choice(pop, size=k, replace=False) for k in ks]
+    vals = _floyd_vals(replay, pop, np.array(ks))
+    offs = np.cumsum(ks) - ks
+    for k, off, want in zip(ks, offs.tolist(), wants):
+        got = _floyd_set(pop, vals[off:off + k])
+        assert sorted(got.tolist()) == sorted(want.tolist()), broken
+    state = replay.bit_generator.state
+    assert state == by_choice.bit_generator.state, broken
+    # integers reads the buffered half, random whole words
+    for _ in range(3):
+        assert replay.integers(0, 10) == by_choice.integers(0, 10), broken
+    assert replay.random() == by_choice.random(), broken
+    return state
+
+
+class TestLemireReplay:
+    """The replay's own bounded draw, at the edges the pops of
+    :class:`TestFloydReplay` do not reach."""
+
+    # at pop 3e9 a Floyd draw is redrawn with probability (2**32 - b) / 2**32,
+    # about 0.3; at 2**32 - 1, the largest pop replayed, a product x * b is
+    # nearly 2**64, and a redraw is rare
+    @pytest.mark.parametrize("pop", [3 * 10**9, 2**32 - 1])
+    def test_huge_pops_match_choice(self, pop):
+        for seed in range(8):
+            for ks in ([1], [2], [7], [3, 12, 1, 5]):
+                assert all(_floyd_branch(pop, k) for k in ks)
+                replay_matches_choice(seed, pop, ks, held=seed % 2 == 1)
+
+    # one call makes 2k - 1 draws, two make an even number: from an empty
+    # buffer one call leaves a half unused and two do not; from a held half
+    # it is the other way round
+    @pytest.mark.parametrize("ks,held,held_after", [
+        ([5], False, True), ([5], True, False),
+        ([5, 8], False, False), ([5, 8], True, True)])
+    def test_uint32_buffer_at_entry_and_exit(self, ks, held, held_after):
+        for seed in range(4):
+            state = replay_matches_choice(seed, 1225, ks, held)
+            assert state["has_uint32"] == held_after
+
+    def test_full_call_first_step_draws_nothing(self):
+        # k = pop: Floyd's first step is on [0, 0]; pop 1 draws nothing at all
+        for pop in (1, 2, 3, 45):
+            for held in (False, True):
+                replay_matches_choice(pop, pop, [pop], held)
+                replay_matches_choice(pop, pop, [1, pop], held)
 
 
 def per_attempt_sample(n, p, seed, max_rejects):
