@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, profile_matrix
+from .graph import Graph, profile_groups, profile_matrix
 
 #: Unit roundoff of IEEE double precision.
 UNIT_ROUNDOFF = 2.0**-53
@@ -171,9 +171,12 @@ class CentralityTable:
     Built from one profile matrix (:attr:`counts`, shape ``(n, D)``, ``D``
     the diameter); :meth:`profile` pads a row to the ``n - 1`` entries that
     reports spell out.  Degree and farness are exact integers, so closeness
-    (``1/farness``) ties stay exact.  The signed vectors are built on first
-    use only; :meth:`fvec` builds one node's vector.  The table owns the
-    report's decay matrix: :meth:`decay_values` builds it once per grid.
+    (``1/farness``) ties stay exact.  :attr:`groups` holds the graph's
+    profile groups, built on first use; nodes of one group share every
+    quantity, so the signed vectors (:attr:`fvecs`, built on first use;
+    :meth:`fvec` builds one node's vector) and the report's decay matrix
+    (:meth:`decay_values`, built once per grid) are computed once per group
+    and copied to the group's nodes.
     """
 
     graph: Graph
@@ -195,16 +198,28 @@ class CentralityTable:
         return fvec_from_counts(self.profile(node))
 
     @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`profile_groups` of :attr:`counts`: ``(first, inverse,
+        sizes)``."""
+        return profile_groups(self.counts)
+
+    @cached_property
     def fvecs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.fvec(i) for i in range(self.n))
+        """Every node's signed vector; the nodes of one group share one."""
+        first, inverse, _ = self.groups
+        per_group = [self.fvec(i) for i in first.tolist()]
+        return tuple(per_group[k] for k in inverse.tolist())
 
     def decay_values(self, grid: DeltaGrid) -> np.ndarray:
         """The ``(n, len(grid))`` :func:`decay_matrix` of the profiles,
-        built on the first call for ``grid`` and returned read-only, so
-        every writer of one report shares it."""
+        evaluated on one row per group, built on the first call for
+        ``grid`` and returned read-only, so every writer of one report
+        shares it.  Each entry is the one :func:`decay_matrix` gives its
+        node's own row, bit for bit."""
         dc = self._decay.get(grid)
         if dc is None:
-            dc = self._decay[grid] = decay_matrix(self.counts, grid)
+            first, inverse, _ = self.groups
+            dc = self._decay[grid] = decay_matrix(self.counts[first], grid)[inverse]
             dc.flags.writeable = False
         return dc
 

@@ -176,7 +176,7 @@ def _cmd_compute(args) -> int:
     g = read_graph(args.graph, fmt=args.format)
     grid = DeltaGrid.uniform(args.grid_points)
     table = _connected_table(g, args.graph)
-    sets = maximizer_sets(g, grid, profiles=table.counts)
+    sets = maximizer_sets(g, grid, table=table)
     csv_text = centrality_csv(table, grid)
     if args.out:
         Path(args.out).write_text(csv_text)

@@ -5,7 +5,10 @@ Nodes are contiguous integers ``0..n-1``; external labels belong at the
 I/O boundary.  Graphs cannot be written after construction and are safe to
 share across workers.  A node's distance profile is one integer row of
 :func:`profile_matrix`, counted from the all-sources BFS of
-:func:`distance_matrix`.
+:func:`distance_matrix`.  Decay centrality, degree and farness depend on a
+node only through its profile, so the nodes of one row of
+:func:`profile_groups` share all of them; the maximizer sets, the trials
+and ``compute``'s report work once per group.
 """
 
 from __future__ import annotations
@@ -197,3 +200,23 @@ def profile_matrix(g: Graph) -> np.ndarray:
     keys += (np.arange(n, dtype=np.int64) * width)[:, None]
     counts = np.bincount(keys.ravel(), minlength=n * width).reshape(n, width)
     return counts[:, 1:]
+
+
+def profile_groups(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a profile matrix: ``(first, inverse, sizes)``.
+
+    Groups are numbered ``0 .. K-1`` in lexicographic order of their
+    rows.  ``first[k]`` is the lowest node of group ``k``,
+    ``inverse[v]`` the group of node ``v`` and ``sizes[k]`` the group's
+    node count, as ``np.unique(..., axis=0)`` returns them, from one
+    stable sort of the rows.
+    """
+    n = len(profiles)
+    order = np.lexsort(profiles.T[::-1])
+    ordered = profiles[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    heads = np.flatnonzero(starts)
+    return order[heads], inverse, np.diff(heads, append=n)

@@ -20,7 +20,22 @@ container would come out on one line.  A nested item is therefore sent
 as ``null`` and its line is completed with the item's own text.  The
 encoder escapes every control character inside strings, so a raw newline
 in its output can only come from the separator, and the items can be
-split apart again.
+split apart again.  The encoder of each separator is made once.
+
+``compute``'s writers spell each value once per profile group
+(:attr:`CentralityTable.groups`), since the nodes of one group share their
+degree, farness and decay row.  :func:`centrality_csv` formats one
+``degree,farness,closeness,dc...`` tail per group and prefixes each node's
+id, and the nodes of one group in :func:`centrality_payload` share one
+``dc`` list (and, in the full report, one profile, ``fvec`` and ``cvec``
+list), as the grid points with one decay maximizer set share its sorted
+list.  :func:`json_text` writes such a shared list once per indentation:
+it keeps the text of every list of plain scalars it has written, keyed by
+the list's ``id`` and its indent, and reuses it for the same list at the
+same indent.  An ``id`` is a valid key because the value being written
+holds every object it contains until the call returns.  Only such leaf
+lists are kept: keeping the text of every container would hold most of
+the report twice.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -184,14 +200,31 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
+@lru_cache(maxsize=64)
+def _encoder(sep: str):
+    """The C encoder's ``encode`` with item separator ``sep``, one per
+    indentation level.  It sees one container level at a time, so it needs
+    no check for cycles."""
+    return json.JSONEncoder(separators=(sep, ": "), check_circular=False).encode
+
+
 def json_text(obj: Any, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` of a :func:`jsonable`
     value (dict keys are strings), with every line after the first shifted
     right by ``indent``."""
+    return _json_text(obj, indent, {})
+
+
+def _json_text(obj: Any, indent: str, leaves: dict[tuple[int, str], str]) -> str:
+    """:func:`json_text`; ``leaves`` holds the text of each list of plain
+    scalars written so far, keyed by ``(id(list), indent)``."""
     if isinstance(obj, dict):
         keys = sorted(obj)
         values = [obj[k] for k in keys]
     elif isinstance(obj, (list, tuple)):
+        text = leaves.get((id(obj), indent))
+        if text is not None:
+            return text
         keys = None
         values = obj
     else:
@@ -207,15 +240,18 @@ def json_text(obj: Any, indent: str = "") -> str:
         values = list(values)
         for i in nested:
             values[i] = None
-    body = json.dumps(values if keys is None else dict(zip(keys, values)),
-                      separators=(sep, ": "))
+    body = _encoder(sep)(values if keys is None else dict(zip(keys, values)))
     opening, body, closing = body[0], body[1:-1], body[-1]
     if nested:
         items = body.split(sep)
         for i in nested:
-            items[i] = items[i][:-4] + json_text(obj[i if keys is None else keys[i]], inner)
+            value = obj[i if keys is None else keys[i]]
+            items[i] = items[i][:-4] + _json_text(value, inner, leaves)
         body = sep.join(items)
-    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+    text = f"{opening}\n{inner}{body}\n{indent}{closing}"
+    if keys is None and not nested:
+        leaves[id(obj), indent] = text
+    return text
 
 
 def with_envelope(config_echo: dict[str, Any], payload: dict[str, Any]) -> str:
@@ -235,18 +271,22 @@ def centrality_csv(table: CentralityTable, grid: DeltaGrid) -> str:
     with the decay values of ``table.decay_values(grid)``, which a later
     :func:`centrality_payload` on the same table and grid reuses.
 
-    Each row is one ``%`` template: ``"%.9g" % x`` spells every float,
-    special values included, as :func:`fmt_float` does."""
+    Each profile group's ``,degree,farness,closeness,dc...`` tail is one
+    ``%`` template: ``"%.9g" % x`` spells every float, special values
+    included, as :func:`fmt_float` does.  A node's row is its id and its
+    group's tail."""
     header = ["node", "degree", "farness", "closeness"] + [
         f"dc@{fmt_float(d)}" for d in grid.values
     ]
-    row = "%d,%d,%d" + ",%.9g" * (len(grid.values) + 1)
+    tail = ",%d,%d" + ",%.9g" * (len(grid.values) + 1)
+    first, inverse, _ = table.groups
+    first = first.tolist()
+    tails = [
+        tail % (table.degrees[f], table.farness[f], 1.0 / table.farness[f], *dcs)
+        for f, dcs in zip(first, table.decay_values(grid)[first].tolist())
+    ]
     lines = [",".join(header)]
-    lines.extend(
-        row % (i, degree, far, 1.0 / far, *dcs)
-        for i, (degree, far, dcs) in enumerate(
-            zip(table.degrees, table.farness, table.decay_values(grid).tolist()))
-    )
+    lines.extend(f"{i}{tails[k]}" for i, k in enumerate(inverse.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -255,21 +295,31 @@ def centrality_payload(table: CentralityTable, grid: DeltaGrid, maximizers: Maxi
     """JSON payload for the centrality report; ``full`` adds the profile and
     signed-farness / reciprocal vectors per node.  The decay values come
     from ``table.decay_values(grid)``, so a :func:`centrality_csv` of the
-    same table and grid has already built them."""
+    same table and grid has already built them.  Each list is built once
+    per profile group, and the nodes of a group share it."""
+    first, inverse, _ = table.groups
+    first = first.tolist()
+    dcs = table.decay_values(grid)[first].tolist()
+    if full:
+        extras = [
+            {"profile": table.profile(f), "fvec": list(table.fvecs[f]),
+             "cvec": list(cvec_from_fvec(table.fvecs[f]))}
+            for f in first
+        ]
     nodes = []
-    for i, dcs in enumerate(table.decay_values(grid).tolist()):
+    for i, k in enumerate(inverse.tolist()):
         entry: dict[str, Any] = {
             "node": i,
             "degree": table.degrees[i],
             "farness": table.farness[i],
             "closeness": 1.0 / table.farness[i],
-            "dc": dcs,
+            "dc": dcs[k],
         }
         if full:
-            entry["profile"] = table.profile(i)
-            entry["fvec"] = list(table.fvecs[i])
-            entry["cvec"] = list(cvec_from_fvec(table.fvecs[i]))
+            entry.update(extras[k])
         nodes.append(entry)
+    # one list per distinct decay maximizer set, shared like the dc lists
+    decay_sets = {s: sorted(s) for s in set(maximizers.by_decay)}
     return {
         "grid": list(grid.values),
         "nodes": nodes,
@@ -277,7 +327,7 @@ def centrality_payload(table: CentralityTable, grid: DeltaGrid, maximizers: Maxi
             "by_degree": sorted(maximizers.by_degree),
             "by_closeness": sorted(maximizers.by_closeness),
             "by_decay": {
-                fmt_float(d): sorted(s)
+                fmt_float(d): decay_sets[s]
                 for d, s in zip(grid.values, maximizers.by_decay)
             },
         },

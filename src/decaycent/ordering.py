@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .centrality import (
+    CentralityTable,
     DeltaGrid,
     _prefix_sums,
     dc_difference_float,
@@ -32,7 +33,7 @@ from .centrality import (
     decay_matrix,
     farness_vector,
 )
-from .graph import Graph, profile_matrix
+from .graph import Graph, profile_groups, profile_matrix
 
 #: Element budget of one :func:`decay_ranks` block: groups x block members
 #: x max(levels, grid) stays below it, which bounds the block's dominance
@@ -249,26 +250,6 @@ class MaximizerSets:
     by_decay: tuple[frozenset[int], ...]
 
 
-def profile_groups(profiles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a profile matrix: ``(first, inverse, sizes)``.
-
-    Groups are numbered ``0 .. K-1`` in lexicographic order of their
-    rows.  ``first[k]`` is the lowest node of group ``k``,
-    ``inverse[v]`` the group of node ``v`` and ``sizes[k]`` the group's
-    node count, as ``np.unique(..., axis=0)`` returns them, from one
-    stable sort of the rows.
-    """
-    n = len(profiles)
-    order = np.lexsort(profiles.T[::-1])
-    ordered = profiles[order]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    heads = np.flatnonzero(starts)
-    return order[heads], inverse, np.diff(heads, append=n)
-
-
 def dominance_front(rows: np.ndarray) -> np.ndarray:
     """Ids, ascending, of the profile rows that no row strictly dominates.
 
@@ -405,7 +386,7 @@ def degree_closeness_winners(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def maximizer_sets(
     g: Graph,
     grid: DeltaGrid,
-    profiles: np.ndarray | None = None,
+    table: CentralityTable | None = None,
 ) -> MaximizerSets:
     """Compute all three maximizer families for a connected graph.
 
@@ -413,14 +394,18 @@ def maximizer_sets(
     profile standing for all of its nodes.  Degree and closeness winners
     come from exact integer comparisons (:func:`degree_closeness_winners`);
     the per-delta decay winners use the exact-confirmation path of
-    :func:`decay_argmax_sets`.  ``profiles`` is the graph's
-    :func:`profile_matrix` when the caller has it already (``compute``
-    passes its table's ``counts``); building it here raises as
-    :func:`profile_matrix` does for fewer than two nodes.
+    :func:`decay_argmax_sets`.  ``table`` is the graph's
+    :class:`CentralityTable` when the caller has it already (``compute``
+    passes its own), and the groups are then read from it; otherwise the
+    profiles are built here, which raises as :func:`profile_matrix` does
+    for fewer than two nodes.
     """
-    if profiles is None:
+    if table is None:
         profiles = profile_matrix(g)
-    first, inverse, _ = profile_groups(profiles)
+        first, inverse, _ = profile_groups(profiles)
+    else:
+        profiles = table.counts
+        first, inverse, _ = table.groups
     rows = profiles[first]
     in_deg, in_clos = degree_closeness_winners(rows)
     by_decay = decay_argmax_sets(rows, grid)

@@ -32,14 +32,9 @@ from .generation import (
     sample_connected_gnp,
     validate_np,
 )
-from .graph import Graph, profile_matrix
+from .graph import Graph, profile_groups, profile_matrix
 from .io import with_envelope
-from .ordering import (
-    decay_argmax_sets,
-    decay_ranks,
-    degree_closeness_winners,
-    profile_groups,
-)
+from .ordering import decay_argmax_sets, decay_ranks, degree_closeness_winners
 
 
 class AllTrialsFailedError(RuntimeError):

@@ -16,7 +16,7 @@ from decaycent.centrality import (
     decay_matrix,
 )
 from decaycent.generation import TrialSeed, sample_connected_gnp
-from decaycent.graph import build_graph, distance_matrix, profile_matrix
+from decaycent.graph import build_graph, distance_matrix, profile_groups, profile_matrix
 from decaycent.ordering import (
     Relation,
     check_farness_dominance,
@@ -29,7 +29,6 @@ from decaycent.ordering import (
     lex_compare,
     lex_compare_cvec,
     maximizer_sets,
-    profile_groups,
     ud_compare,
 )
 from decaycent.simulation import run_trial

@@ -3,7 +3,9 @@
 :func:`decaycent.io.json_text` must equal ``json.dumps(x, indent=2,
 sort_keys=True)``, and the CSV writers (``compute``'s table, ``simulate``'s
 ``records.csv`` and ``aggregate.csv``) must equal the rows built field by
-field with :func:`decaycent.io.fmt_float` and ``csv.writer``.  These
+field with :func:`decaycent.io.fmt_float` and ``csv.writer``.  ``compute``'s
+writers work once per profile group, so they are also checked on graphs
+with many repeated profiles against per-node references.  These
 references live here as the oracles.
 """
 
@@ -26,8 +28,16 @@ from hypothesis import strategies as st
 from decaycent import centrality
 from decaycent.centrality import DeltaGrid, centrality_table
 from decaycent.generation import TrialSeed, sample_connected_gnp
-from decaycent.graph import build_graph
-from decaycent.io import centrality_csv, centrality_payload, fmt_float, json_text, jsonable
+from decaycent.graph import Graph, build_graph
+from decaycent.io import (
+    centrality_csv,
+    centrality_payload,
+    fmt_float,
+    json_text,
+    jsonable,
+    with_envelope,
+)
+from decaycent.meta import conventions, version_string
 from decaycent.ordering import maximizer_sets
 from decaycent.simulation import (
     SimulationConfig,
@@ -88,6 +98,21 @@ class TestJsonText:
     def test_edge_cases(self, obj):
         assert json_text(obj) == stdlib_json(obj)
 
+    # json_text reuses the text of a plain-scalar list it has written, keyed
+    # by the list's id and its indent; a key on the id alone would give a
+    # list met again at another depth the indentation of its first occurrence
+    @pytest.mark.parametrize("case", ["one-depth", "two-depths", "shared-dict"])
+    def test_shared_sub_objects(self, case):
+        leaf = [0.5, 1, "x", None]
+        if case == "one-depth":
+            obj = [leaf, leaf, {"a": leaf}, [leaf]]
+        elif case == "two-depths":
+            obj = {"a": leaf, "b": [leaf, {"c": leaf}], "d": leaf}
+        else:
+            shared = {"k": leaf, "m": [1, 2]}
+            obj = {"p": shared, "q": {"r": shared}, "s": [shared, leaf]}
+        assert json_text(obj) == stdlib_json(obj)
+
 
 class Colour(enum.Enum):
     RED = "red"
@@ -137,6 +162,24 @@ class TestJsonable:
         assert jsonable(values) is values
 
 
+def grid_graph(side: int) -> Graph:
+    nodes = range(side * side)
+    return build_graph(side * side, [(v, v + 1) for v in nodes if v % side < side - 1]
+                       + [(v, v + side) for v in nodes if v < side * (side - 1)])
+
+
+#: Graphs whose nodes share profiles: the writers work once per profile
+#: group, and their output must equal the per-node references.  Only the
+#: G(n, p) sample has (almost) no repeated profile.
+REPEATED_PROFILES = {
+    "p200": lambda: build_graph(200, [(i, i + 1) for i in range(199)]),
+    "star41": lambda: build_graph(41, [(0, i) for i in range(1, 41)]),
+    "k5_7": lambda: build_graph(12, [(i, j) for i in range(5) for j in range(5, 12)]),
+    "grid12": lambda: grid_graph(12),
+    "gnp400": lambda: sample_connected_gnp(400, 0.02, TrialSeed(3, 0))[0],
+}
+
+
 EDGE_FLOATS = [
     0.0, -0.0, math.inf, -math.inf, math.nan,
     5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -157,11 +200,13 @@ class TestCentralityCsv:
 
     @staticmethod
     def per_field_csv(table, grid) -> str:
+        # every node's own row of the decay matrix, not the table's
+        # per-group values
         header = ["node", "degree", "farness", "closeness"] + [
             f"dc@{fmt_float(d)}" for d in grid.values
         ]
         lines = [",".join(header)]
-        for i, dcs in enumerate(table.decay_values(grid).tolist()):
+        for i, dcs in enumerate(centrality.decay_matrix(table.counts, grid).tolist()):
             row = [
                 str(i),
                 str(table.degrees[i]),
@@ -171,13 +216,9 @@ class TestCentralityCsv:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("name", ["p200", "gnp400"])
+    @pytest.mark.parametrize("name", sorted(REPEATED_PROFILES))
     def test_matches_per_field_reference(self, name):
-        if name == "p200":
-            g = build_graph(200, [(i, i + 1) for i in range(199)])
-        else:
-            g, _ = sample_connected_gnp(400, 0.02, TrialSeed(3, 0))
-        table = centrality_table(g)
+        table = centrality_table(REPEATED_PROFILES[name]())
         grid = DeltaGrid.uniform(99)
         want = self.per_field_csv(table, grid)
         assert centrality_csv(table, grid) == want
@@ -195,12 +236,52 @@ class TestCentralityCsv:
 
         monkeypatch.setattr(centrality, "decay_matrix", counted)
         csv_text = centrality_csv(table, grid)
-        payload = centrality_payload(table, grid, maximizer_sets(g, grid, table.counts))
+        payload = centrality_payload(table, grid, maximizer_sets(g, grid, table=table))
         assert builds == [grid]
         dc = table.decay_values(grid)
         assert not dc.flags.writeable
         assert [node["dc"] for node in payload["nodes"]] == dc.tolist()
         assert csv_text.splitlines()[1].endswith(",".join(fmt_float(v) for v in dc[0]))
+
+
+class TestCentralityPayload:
+    @pytest.mark.parametrize("name", sorted(REPEATED_PROFILES))
+    def test_matches_per_node_reference(self, name):
+        g = REPEATED_PROFILES[name]()
+        table, grid = centrality_table(g), DeltaGrid.uniform(99)
+        full = name != "gnp400"
+        payload = centrality_payload(table, grid, maximizer_sets(g, grid, table=table), full=full)
+        nodes = payload["nodes"]
+        assert [node["dc"] for node in nodes] == (
+            centrality.decay_matrix(table.counts, grid).tolist())
+        if full:
+            for i, node in enumerate(nodes):
+                fvec = centrality.fvec_from_counts(table.profile(i))
+                assert (node["profile"], node["fvec"], node["cvec"]) == (
+                    table.profile(i), list(fvec), list(centrality.cvec_from_fvec(fvec)))
+        # one list object per profile group
+        first, inverse, _ = table.groups
+        assert all(node["dc"] is nodes[first[k]]["dc"]
+                   for node, k in zip(nodes, inverse.tolist()))
+        config = {"command": "compute", "full": full}
+        want = stdlib_json({"config": config, "version": version_string(),
+                            "conventions": conventions(), **payload})
+        assert with_envelope(config, payload) == want + "\n"
+
+    def test_full_report_builds_one_fvec_per_group(self, monkeypatch):
+        g = REPEATED_PROFILES["star41"]()
+        table, grid = centrality_table(g), DeltaGrid.uniform(9)
+        calls = []
+        original = centrality.fvec_from_counts
+
+        def counted(counts):
+            calls.append(tuple(counts))
+            return original(counts)
+
+        monkeypatch.setattr(centrality, "fvec_from_counts", counted)
+        centrality_payload(table, grid, maximizer_sets(g, grid, table=table), full=True)
+        # the centre's profile and the one leaf profile
+        assert sorted(calls) == sorted(tuple(table.profile(f)) for f in table.groups[0])
 
 
 def csv_text(rows) -> str:

@@ -11,14 +11,8 @@ import pytest
 from decaycent import ordering
 from decaycent.centrality import DeltaGrid, decay_matrix
 from decaycent.generation import TrialSeed, sample_connected_gnp
-from decaycent.graph import build_graph, profile_matrix
-from decaycent.ordering import (
-    Relation,
-    check_profile_dominance,
-    decay_ranks,
-    maximizer_sets,
-    profile_groups,
-)
+from decaycent.graph import build_graph, profile_groups, profile_matrix
+from decaycent.ordering import Relation, check_profile_dominance, decay_ranks, maximizer_sets
 from decaycent.simulation import (
     SimulationConfig,
     _record_rows,
