@@ -11,8 +11,9 @@ Decay centrality of node ``i`` at ``delta`` in (0, 1) is
 The difference of two decay polynomials factors as
 ``delta * (1 - delta) * sum_k P_k delta**(k-1)`` where ``P_k`` are prefix
 sums of the profile differences (and symmetrically in ``eps = 1 - delta``
-with farness-vector differences); both factored forms are exposed here and
-pinned to the direct evaluation by the test suite.
+with farness-vector differences); :func:`dc_difference_coeffs` gives both
+coefficient vectors, and ``decaycent check`` verifies both forms as exact
+integer polynomial identities.
 """
 
 from __future__ import annotations
@@ -70,25 +71,16 @@ class DeltaGrid:
         out.flags.writeable = False
         return out
 
-    def fractions(self) -> tuple[Fraction, ...]:
-        """Exact rational values of the grid floats, built once per grid
-        together with :meth:`fraction_array`."""
-        cached = self.__dict__.get("_fractions")
-        if cached is None:
-            cached = tuple(Fraction(v) for v in self.values)
-            exact = np.array(cached, dtype=object)
+    def fractions(self) -> np.ndarray:
+        """Exact rational values of the grid floats, as a read-only
+        :class:`Fraction` object array for indexing by grid columns, built
+        on the first call."""
+        exact = self.__dict__.get("_fractions")
+        if exact is None:
+            exact = np.array([Fraction(v) for v in self.values], dtype=object)
             exact.flags.writeable = False
-            object.__setattr__(self, "_fractions", cached)
-            object.__setattr__(self, "_fraction_array", exact)
-        return cached
-
-    def fraction_array(self) -> np.ndarray:
-        """:meth:`fractions` as a read-only object array, for indexing by
-        grid columns.  Every read goes through :meth:`fractions`, which
-        builds it, so the benchmark's ``centrality.fractions`` span still
-        counts each use."""
-        self.fractions()
-        return self.__dict__["_fraction_array"]
+            object.__setattr__(self, "_fractions", exact)
+        return exact
 
 
 def decay_centrality(counts: Sequence[int], delta: float) -> float:
@@ -257,49 +249,6 @@ def dc_difference_coeffs(
         )
     bvec = tuple(a - b for a, b in zip(fi, fj))
     return avec, bvec
-
-
-def _prefix_sums(vec: Sequence[int]) -> list[int]:
-    out: list[int] = []
-    acc = 0
-    for v in vec[:-1]:
-        acc += v
-        out.append(acc)
-    return out
-
-
-def dc_difference_factored(avec: Sequence[int], delta: float) -> float:
-    """Evaluate the factored decay difference
-    ``delta * (1 - delta) * [P_1 + P_2*delta + ... + P_{n-2}*delta**(n-3)]``
-    where ``P_k`` is the k-th prefix sum of ``avec``; requires the
-    coefficients to sum to zero (they always do for same-graph profiles).
-    """
-    if sum(avec) != 0:
-        raise ValueError("difference coefficients must sum to zero")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    prefixes = _prefix_sums(avec)
-    acc = 0.0
-    for p in reversed(prefixes):
-        acc = acc * delta + p
-    return delta * (1.0 - delta) * acc
-
-
-def dc_difference_factored_eps(bvec: Sequence[int], delta: float) -> float:
-    """The mirrored factored form in ``eps = 1 - delta`` built on
-    farness-vector differences:
-    ``-eps * (1 - eps) * [Q_1 + Q_2*eps + ... + Q_{n-2}*eps**(n-3)]``
-    with ``Q_k`` the prefix sums of ``bvec``."""
-    if sum(bvec) != 0:
-        raise ValueError("difference coefficients must sum to zero")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    eps = 1.0 - delta
-    prefixes = _prefix_sums(bvec)
-    acc = 0.0
-    for q in reversed(prefixes):
-        acc = acc * eps + q
-    return -eps * (1.0 - eps) * acc
 
 
 def dc_difference_sign(

@@ -29,14 +29,15 @@ pairs.  That call has two branches:
 Floyd attempts are replayed in chunks: :func:`_floyd_vals` makes the
 bounded draws of many consecutive attempts at once, from PCG64's raw
 64-bit words, without calling numpy's bounded draw.  So the replay
-depends on four details of numpy's, which ``tests/test_generation.py``
+depends on three details of numpy's, which ``tests/test_generation.py``
 checks, set for set and draw for draw, on the installed numpy: PCG64 cuts
 a word into two 32-bit values, low half first, and buffers the high half
 in its state (``has_uint32``, ``uinteger``) for the next 32-bit draw; a
 draw on ``[0, b)`` is Lemire's multiply-shift, redrawn while the low half
-of ``x * b`` is below ``(2**32 - b) % b``; a step on ``[0, 0]`` (bound 1)
-draws nothing; and every bound fits in 32 bits, which holds while ``pop <=
-2**32 - 1``.  The shuffle's draws are consumed but not applied,
+of ``x * b`` is below ``(2**32 - b) % b``; and every bound fits in 32
+bits, which holds while ``pop <= 2**32 - 1``.  Every replayed call has
+``k < pop`` (a full call is never drawn; see "Full draws"), so every
+bound is at least 2.  The shuffle's draws are consumed but not applied,
 because the order of an edge set does not change the graph.  A chunk may
 draw past the attempt that is accepted, or past the rejection budget.
 That is still exact: each batch's stream is thrown away once its batch
@@ -253,25 +254,19 @@ def _floyd_vals(rng: np.random.Generator, pop: int, ks: np.ndarray) -> np.ndarra
 
     It makes every bounded draw those calls make, with the bounds of
     :func:`_bounds`, by :func:`_lemire_draws`, so ``rng`` ends where they
-    leave it.  A full call's first Floyd step is on ``[0, 0]`` and, as in
-    numpy, draws nothing.  Valid while ``pop <= 2**32 - 1``, that is ``n <=
-    92682`` nodes; :func:`_pair_index` cannot allocate a larger ``n``.
+    leave it.  Every ``k`` is below ``pop`` (:func:`_first_connected`
+    stops its runs before the first full count), so every bound is at
+    least 2.  Valid while ``pop <= 2**32 - 1``, that is ``n <= 92682``
+    nodes; :func:`_pair_index` cannot allocate a larger ``n``.
     """
-    k_list = ks.tolist()
     bounds = np.concatenate([
         _cached_bounds(pop, k) if 2 * k <= CHUNK_DRAWS else _bounds(pop, k)
-        for k in k_list
+        for k in ks.tolist()
     ])
     # each call's k Floyd draws, then its k - 1 shuffle draws
     steps = (ks[:, None] - [0, 1]).ravel()
     floyd = np.repeat(np.arange(len(steps)) % 2 == 0, steps)
-    if pop in k_list:
-        draws = np.zeros(len(bounds), np.int64)
-        live = bounds > 1
-        draws[live] = _lemire_draws(rng, bounds[live])
-    else:
-        draws = _lemire_draws(rng, bounds)
-    return draws[floyd]
+    return _lemire_draws(rng, bounds)[floyd]
 
 
 def _floyd_set(pop: int, vals: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ import numpy as np
 from .centrality import (
     CentralityTable,
     DeltaGrid,
-    _prefix_sums,
     dc_difference_float,
     dc_difference_sign,
     decay_matrix,
@@ -170,7 +170,8 @@ class SufficiencyResult:
 def _max_abs_prefix(diffs: Sequence[int]) -> int:
     """``max_k |d_1 + ... + d_k|`` over ``k = 2 .. len(diffs) - 1``; 0 when
     that range is empty."""
-    return max((abs(x) for x in _prefix_sums(diffs)[1:]), default=0)
+    sums = list(accumulate(diffs[:-1]))
+    return max(map(abs, sums[1:]), default=0)
 
 
 def check_low_delta_conditions(ci: Sequence[int], cj: Sequence[int]) -> SufficiencyResult:
@@ -316,7 +317,7 @@ def decay_argmax_sets(rows: np.ndarray, grid: DeltaGrid) -> tuple[frozenset[int]
     themselves cannot order a long path's centre rows).  The set is the
     leader and the candidates that tie with it.
     """
-    deltas, fracs = grid.array, grid.fraction_array()
+    deltas, fracs = grid.array, grid.fractions()
     front = dominance_front(rows)
     leaders = front[decay_matrix(rows[front], grid).argmax(axis=0)]
     out = [frozenset((lead,)) for lead in leaders.tolist()]
@@ -370,7 +371,7 @@ def decay_ranks(
         out[:] = 1 + (sizes @ (ge & ~le))[:, None]
         ks, at = (~ge & ~le).nonzero()
         if len(ks):
-            signs, _ = decay_signs(rows, ks, block[at], grid.array, grid.fraction_array())
+            signs, _ = decay_signs(rows, ks, block[at], grid.array, grid.fractions())
             out += np.where(np.arange(len(block))[:, None] == at, sizes[ks], 0) @ (signs > 0)
     return ranks
 

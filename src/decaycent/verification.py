@@ -1,11 +1,13 @@
 """Randomized property checks with independent brute-force oracles.
 
 Each check regenerates its ground truth from first principles (Floyd-
-Warshall distances, naive per-pair decay sums, exhaustive prefix scans)
-rather than reusing the production code paths it is checking.  The order
-oracle is :func:`decaycent.ordering.decay_signs`, the package's one exact
-decay comparison, which the tests check against ``Fraction`` brute force;
-the order properties never reuse the sufficient-condition code they check.
+Warshall distances and their per-level counts, exact scaled decay sums)
+rather than reusing the production code paths it is checking.  The
+difference factorizations are checked as exact integer polynomial
+identities, so no float tolerance is involved.  The order oracle is
+:func:`decaycent.ordering.decay_signs`, the package's one exact decay
+comparison, which the tests check against ``Fraction`` brute force; the
+order properties never reuse the sufficient-condition code they check.
 Failures are report content with counterexample dumps, not exceptions, so
 the CLI ``check`` command can emit a full pass/fail report and exit nonzero.
 """
@@ -15,17 +17,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .centrality import (
-    DeltaGrid,
-    dc_difference_coeffs,
-    dc_difference_factored,
-    dc_difference_factored_eps,
-    fvec_from_counts,
-)
+from .centrality import DeltaGrid, dc_difference_coeffs, fvec_from_counts
 from .generation import TrialSeed, sample_connected_gnp
 from .graph import Graph, profile_matrix
 from .ordering import (
@@ -45,9 +42,6 @@ from .ordering import (
 MAX_REPORTED_FAILURES = 5
 #: Smallest graph the property checks sample.
 MIN_CHECK_NODES = 4
-#: Grid points and absolute tolerance of the factored-difference check.
-FACTORIZATION_POINTS = 49
-FACTORIZATION_TOL = 1e-10
 #: Grid points of the order properties: 999 values, with 0.5 among them.
 ORDER_POINTS = 999
 #: The decay parameters near 0 and 1 where the limit orders must hold.
@@ -120,7 +114,8 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
 
 
 def naive_decay(dist_row: Sequence[float], node: int, delta: float) -> float:
-    """Per-pair decay sum straight from a distance row."""
+    """Per-pair decay sum straight from a distance row; the tests' float
+    oracle for decay values."""
     return sum(delta ** d for j, d in enumerate(dist_row) if j != node)
 
 
@@ -171,41 +166,66 @@ def check_bfs_distances(graphs: Sequence[Graph]) -> PropertyResult:
 
 
 def check_difference_factorizations(graphs: Sequence[Graph]) -> PropertyResult:
-    """Both factored difference forms match the naive per-pair evaluation
-    within :data:`FACTORIZATION_TOL` at every point of the
-    :data:`FACTORIZATION_POINTS`-point grid, and the coefficient vectors
-    sum to zero exactly."""
-    grid = DeltaGrid.uniform(FACTORIZATION_POINTS)
+    """Both factored forms of ``DC_i - DC_j`` hold for every node pair, as
+    exact integer polynomial identities, so at every delta.
+
+    The pair's profile and signed-farness differences ``avec`` and ``bvec``
+    come from :func:`dc_difference_coeffs`; the direct difference is
+    ``sum_m e_m delta**m``, with ``e_m`` the Floyd-Warshall count
+    differences at distance ``m = 1 .. n-1``.
+
+    * The low-delta form ``delta*(1-delta)*sum_k P_k delta**(k-1)``, with
+      ``P_k`` the prefix sums of ``avec``, telescopes to
+      ``sum_k avec_k delta**k - P_L delta**(L+1)``: it holds iff
+      ``sum(avec) == 0`` and ``avec``, padded to ``n - 1``, equals ``e``.
+    * The high-delta form ``-eps*(1-eps)*sum_k Q_k eps**(k-1)`` in
+      ``eps = 1 - delta``, with ``Q_k`` the prefix sums of ``bvec``,
+      telescopes the same way to ``-sum_k bvec_k eps**k`` iff
+      ``sum(bvec) == 0``.  Expanded by the binomial theorem, its
+      ``delta**m`` coefficient is ``(-1)**(m+1) * sum_k C(k, m) bvec_k``,
+      which must equal ``e_m`` (for ``m = 0`` it is ``-sum(bvec)``, zero
+      by the first condition).
+
+    A pair whose vectors do not sum to zero records a ``problem`` (so
+    profile rows with different totals are reported, not raised); one
+    whose coefficients differ records ``direct`` (``e``), ``avec`` and
+    ``eps_form``.
+    """
     res = PropertyResult(name="difference-factorizations", cases=0)
     for g in graphs:
-        dist = floyd_warshall(g)
+        n = g.n
+        direct = [[row.count(m) for m in range(1, n)] for row in floyd_warshall(g)]
         profiles = profile_matrix(g).tolist()
         fvecs = [fvec_from_counts(row) for row in profiles]
-        n = g.n
+        width = len(profiles[0])
+        pad = [0] * (n - 1 - width)
+        # expansion[m-1][k-1]: the delta**m coefficient of -(1 - delta)**k
+        expansion = [
+            [(-1) ** (m + 1) * comb(k, m) for k in range(1, width + 1)]
+            for m in range(1, width + 1)
+        ]
         for i in range(n):
             for j in range(i + 1, n):
                 res.cases += 1
-                avec, bvec = dc_difference_coeffs(
-                    profiles[i], profiles[j], fvecs[i], fvecs[j]
-                )
-                if sum(avec) != 0 or sum(bvec) != 0:
+                try:
+                    avec, bvec = dc_difference_coeffs(
+                        profiles[i], profiles[j], fvecs[i], fvecs[j]
+                    )
+                except ValueError as exc:  # the profile totals differ
+                    res.record(graph=_edge_dump(g), pair=[i, j], problem=str(exc))
+                    continue
+                if sum(bvec) != 0:
                     res.record(
                         graph=_edge_dump(g), pair=[i, j],
-                        problem="coefficients do not sum to zero",
+                        problem="farness-vector differences do not sum to zero",
                     )
                     continue
-                for delta in grid.values:
-                    direct = naive_decay(dist[i], i, delta) - naive_decay(
-                        dist[j], j, delta
-                    )
-                    fa = dc_difference_factored(avec, delta)
-                    fb = dc_difference_factored_eps(bvec, delta)
-                    if abs(fa - direct) > FACTORIZATION_TOL or abs(fb - direct) > FACTORIZATION_TOL:
-                        res.record(
-                            graph=_edge_dump(g), pair=[i, j], delta=delta,
-                            direct=direct, factored=fa, factored_eps=fb,
-                        )
-                        break
+                want = [a - b for a, b in zip(direct[i], direct[j])]
+                low = list(avec) + pad
+                high = [sum(c * b for c, b in zip(row, bvec)) for row in expansion] + pad
+                if low != want or high != want:
+                    res.record(graph=_edge_dump(g), pair=[i, j],
+                               direct=want, avec=low, eps_form=high)
     return res
 
 
@@ -255,7 +275,7 @@ def _check_order_claims(
     call per block of at most ``RANK_BLOCK // len(columns)`` claims, so
     memory stays bounded on large graphs.
     """
-    deltas, fracs = grid.array, grid.fraction_array()
+    deltas, fracs = grid.array, grid.fractions()
     for g in graphs:
         pm = profile_matrix(g)
         rows = pm.tolist()

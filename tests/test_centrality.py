@@ -1,4 +1,4 @@
-"""Centrality table values, decay evaluation, and the difference identities."""
+"""Centrality table values, decay evaluation, and the difference coefficients."""
 
 from fractions import Fraction
 
@@ -14,8 +14,6 @@ from decaycent.centrality import (
     centrality_table,
     cvec_from_fvec,
     dc_difference_coeffs,
-    dc_difference_factored,
-    dc_difference_factored_eps,
     dc_difference_sign,
     decay_centrality,
     decay_matrix,
@@ -50,7 +48,8 @@ class TestDeltaGrid:
     def test_fractions_exact_and_built_once(self):
         grid = DeltaGrid.uniform(9)
         fracs = grid.fractions()
-        assert fracs == tuple(Fraction(v) for v in grid.values)
+        assert fracs.dtype == object and not fracs.flags.writeable
+        assert fracs.tolist() == [Fraction(v) for v in grid.values]
         assert grid.fractions() is fracs
         # the constructor is cached: every caller shares one grid and its fractions
         assert DeltaGrid.uniform(9) is grid
@@ -329,47 +328,6 @@ class TestDifferenceCoeffs:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
             dc_difference_coeffs((1, 1, 0), (2, 0), (2, -1, 0), (2, 0))
-
-
-class TestFactoredForms:
-    def test_zero_coeffs_zero_everywhere(self):
-        for delta in (0.1, 0.5, 0.9):
-            assert dc_difference_factored((0, 0, 0), delta) == 0.0
-            assert dc_difference_factored_eps((0, 0, 0), delta) == 0.0
-
-    def test_p3_hand_value(self, p3):
-        t = centrality_table(p3)
-        avec, bvec = coeffs(t, 1, 0)
-        assert dc_difference_factored(avec, 0.5) == pytest.approx(0.25)
-        assert dc_difference_factored_eps(bvec, 0.5) == pytest.approx(0.25)
-        direct = decay_centrality(t.counts[1], 0.5) - decay_centrality(t.counts[0], 0.5)
-        assert direct == pytest.approx(0.25)
-
-    def test_nonzero_sum_rejected(self):
-        with pytest.raises(ValueError, match="sum to zero"):
-            dc_difference_factored((1, 0), 0.5)
-        with pytest.raises(ValueError, match="sum to zero"):
-            dc_difference_factored_eps((1, 0), 0.5)
-
-    def test_identities_on_random_pairs_20_grid(self):
-        grid = DeltaGrid.uniform(20)
-        for idx in range(8):
-            n = 6 + idx
-            g, _ = sample_connected_gnp(n, 0.4, TrialSeed(16, idx))
-            t = centrality_table(g)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    avec, bvec = coeffs(t, i, j)
-                    for delta in grid.values:
-                        direct = decay_centrality(t.counts[i], delta) - decay_centrality(
-                            t.counts[j], delta
-                        )
-                        assert dc_difference_factored(avec, delta) == pytest.approx(
-                            direct, abs=1e-10
-                        )
-                        assert dc_difference_factored_eps(
-                            bvec, delta
-                        ) == pytest.approx(direct, abs=1e-10)
 
 
 class TestExactSign:

@@ -85,15 +85,16 @@ def choice_layout_broken(pop, k):
         "draws no longer take PCG64's 32-bit values low half of each 64-bit word "
         "first, with the high half buffered in the state (has_uint32, uinteger), "
         "or no longer redraw by Lemire's rule (low half of x * b below "
-        "(2**32 - b) % b), or a step on [0, 0] now draws a value.  The sampler's "
-        "replay of that layout for pop <= 2**32 - 1 (generation._floyd_vals, by "
-        "generation._lemire_draws) is out of date"
+        "(2**32 - b) % b).  The sampler's replay of that layout for k < pop <= "
+        "2**32 - 1 (generation._floyd_vals, by generation._lemire_draws) is out "
+        "of date"
     )
 
 
-#: pops 1 .. 10000 (Floyd's branch for every k), and two above numpy's
-#: 10000 switch, where k > pop // 50 takes the tail shuffle
-CHOICE_POPS = [1, 2, 3, 5, 10, 45, 49, 50, 51, 99, 100, 190, 1225, 4950, 9870,
+#: pops 2 .. 10000 (Floyd's branch for every k), and two above numpy's
+#: 10000 switch, where k > pop // 50 takes the tail shuffle.  The replay
+#: only makes calls with k < pop, so pop 1 has none
+CHOICE_POPS = [2, 3, 5, 10, 45, 49, 50, 51, 99, 100, 190, 1225, 4950, 9870,
                9999, 10000, 10001, 19900]
 
 
@@ -104,8 +105,8 @@ class TestFloydReplay:
 
     @pytest.mark.parametrize("pop", CHOICE_POPS)
     def test_matches_choice(self, pop):
-        ks = sorted({k for k in (1, 2, pop // 50, pop // 50 + 1, pop // 3, pop - 1, pop)
-                     if 1 <= k <= pop})
+        ks = sorted({k for k in (1, 2, pop // 50, pop // 50 + 1, pop // 3, pop - 1)
+                     if 1 <= k < pop})
         for k in ks:
             # one call alone: Floyd-routed calls are replayed exactly, and a
             # tail-shuffle call (k draws, not 2k - 1) leaves the stream elsewhere
@@ -194,13 +195,6 @@ class TestLemireReplay:
         for seed in range(4):
             state = replay_matches_choice(seed, 1225, ks, held)
             assert state["has_uint32"] == held_after
-
-    def test_full_call_first_step_draws_nothing(self):
-        # k = pop: Floyd's first step is on [0, 0]; pop 1 draws nothing at all
-        for pop in (1, 2, 3, 45):
-            for held in (False, True):
-                replay_matches_choice(pop, pop, [pop], held)
-                replay_matches_choice(pop, pop, [1, pop], held)
 
 
 def per_attempt_sample(n, p, seed, max_rejects):

@@ -249,6 +249,19 @@ class TestLowDeltaConditions:
                     assert check_low_delta_conditions(live[i], live[j]) == (
                         check_low_delta_conditions(padded[i], padded[j]))
 
+    def test_condition_2_on_its_boundary(self):
+        # i = 0 has profile (3, 1, 1, 0), j = 4 has (2, 3, 0, 0): A1 = 1, A2 = -2,
+        # so 4*A1 + 2*A2 = 0 = (n-1) - (deg_j + dist2_j), and the condition
+        # holds with equality; i is still strictly ahead on all of (0, 1/2]
+        g = build_graph(6, [(0, 2), (0, 4), (0, 5), (1, 3), (3, 4)])
+        pm = profile_matrix(g)
+        assert pm[[0, 4]].tolist() == [[3, 1, 1, 0], [2, 3, 0, 0]]
+        assert 2 in check_low_delta_conditions(pm[0], pm[4]).satisfied
+        grid = DeltaGrid.uniform(999)
+        low = np.flatnonzero(grid.array <= 0.5)
+        signs, _ = decay_signs(pm, np.array([0]), 4, grid.array[low], grid.fractions()[low])
+        assert (signs > 0).all()
+
     def test_fired_condition_implies_low_range_order(self):
         deltas = [k / 100 for k in range(1, 51)]  # (0, 0.5]
         for idx in range(8):

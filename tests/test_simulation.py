@@ -422,6 +422,10 @@ class TestAggregate:
         assert nearest_rank_percentile(s, 0.95)[0] == 10
         assert nearest_rank_percentile(s, 0.05)[0] == 1
         assert nearest_rank_percentile(s, 0.5)[0] == 1
+        # 50 rows: q * 50 is 2.5 and 47.5, so the ranks are 3 and 48
+        rows = np.arange(50)[:, None]
+        assert nearest_rank_percentile(rows, 0.05)[0] == 2
+        assert nearest_rank_percentile(rows, 0.95)[0] == 47
 
     def test_exclusive_category_counts_on_nonintersecting(self):
         grid = DeltaGrid.uniform(21)

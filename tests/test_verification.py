@@ -10,7 +10,6 @@ import pytest
 from decaycent import cli, verification
 from decaycent.centrality import (
     DeltaGrid,
-    dc_difference_factored,
     dc_difference_sign,
     decay_matrix,
     fvec_from_counts,
@@ -154,12 +153,21 @@ def _levels_reversed(g):
     return profile_matrix(g)[:, ::-1]
 
 
+def _first_row_one_more_neighbour(g):
+    pm = profile_matrix(g).copy()
+    pm[0, 0] += 1
+    return pm
+
+
 def _fvec_unsigned(counts):
     return tuple(abs(f) for f in fvec_from_counts(counts))
 
 
-def _factored_without_one_minus_delta(avec, delta):
-    return dc_difference_factored(avec, delta) / (1.0 - delta)
+def _fvec_entries_2_3_swapped(counts):
+    # keeps every vector's sum, so only the identity itself can catch it
+    fvec = list(fvec_from_counts(counts))
+    fvec[1:3] = fvec[2:0:-1]
+    return tuple(fvec)
 
 
 def _raw_farness_key(fvec):
@@ -184,13 +192,15 @@ def _weak_dominance(a, b, rule="ud"):
      {"node", "expected", "batch"}),
     ("fvec_from_counts", _fvec_unsigned, check_difference_factorizations,
      {"pair", "problem"}),
-    ("dc_difference_factored", _factored_without_one_minus_delta,
-     check_difference_factorizations, {"pair", "delta", "direct", "factored"}),
+    ("profile_matrix", _first_row_one_more_neighbour, check_difference_factorizations,
+     {"pair", "problem"}),
+    ("fvec_from_counts", _fvec_entries_2_3_swapped, check_difference_factorizations,
+     {"pair", "direct", "avec", "eps_form"}),
     ("cvec_sort_key", _raw_farness_key, check_limit_orderings,
      {"delta", "lex_winners", "decay_winners"}),
     ("ud_compare", _weak_dominance, check_dominance_partial_order, {"node", "problem"}),
-], ids=["bfs-width", "bfs-rows", "factorization-sums", "factorization-values",
-        "limit-orderings", "partial-order"])
+], ids=["bfs-width", "bfs-rows", "factorization-sums", "factorization-profile-sums",
+        "factorization-values", "limit-orderings", "partial-order"])
 def test_mutated_property_code_is_caught(monkeypatch, target, mutant, check, keys):
     graphs = sample_graphs(16, n_max=9, seed=6)
     assert check(graphs).passed
@@ -198,6 +208,16 @@ def test_mutated_property_code_is_caught(monkeypatch, target, mutant, check, key
     res = check(graphs)
     assert not res.passed
     assert {"graph", *keys} <= res.failures[0].keys()
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_factorizations_exact_on_long_paths(n):
+    # the prefix sums Q_k of bvec grow like binomial sums, so the eps-side
+    # form evaluated in floats cancels at low delta to errors from 1e-10 (P_30)
+    # to 1e-7 (P_40): only the exact identities can pass on these paths
+    g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    res = check_difference_factorizations([g])
+    assert res.passed and res.cases == n * (n - 1) // 2
 
 
 def test_failing_property_exits_3(monkeypatch, tmp_path, capsys):
