@@ -153,7 +153,8 @@ def fvec_from_counts(counts: Sequence[int]) -> tuple[int, ...]:
 
 def cvec_from_fvec(fvec: Sequence[int]) -> tuple[float, ...]:
     """Reciprocal view: ``1 / f`` per entry, with ``0`` where ``f == 0``."""
-    return tuple(0.0 if f == 0 else float(Fraction(1, f)) for f in fvec)
+    # int true division is correctly rounded, so 1 / f is float(Fraction(1, f))
+    return tuple(0.0 if f == 0 else 1 / f for f in fvec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +167,9 @@ class CentralityTable:
     (``1/farness``) ties stay exact.  :attr:`groups` holds the graph's
     profile groups, built on first use; nodes of one group share every
     quantity, so the signed vectors (:attr:`fvecs`, built on first use;
-    :meth:`fvec` builds one node's vector) and the report's decay matrix
-    (:meth:`decay_values`, built once per grid) are computed once per group
-    and copied to the group's nodes.
+    :meth:`fvec` builds one node's vector) are computed once per group and
+    shared by its nodes, and the report's decay matrix
+    (:meth:`decay_values`, built once per grid) holds one row per group.
     """
 
     graph: Graph
@@ -203,15 +204,14 @@ class CentralityTable:
         return tuple(per_group[k] for k in inverse.tolist())
 
     def decay_values(self, grid: DeltaGrid) -> np.ndarray:
-        """The ``(n, len(grid))`` :func:`decay_matrix` of the profiles,
-        evaluated on one row per group, built on the first call for
+        """The ``(K, len(grid))`` :func:`decay_matrix` of the ``K`` profile
+        groups' rows, in :attr:`groups` order, built on the first call for
         ``grid`` and returned read-only, so every writer of one report
-        shares it.  Each entry is the one :func:`decay_matrix` gives its
-        node's own row, bit for bit."""
+        shares it.  Row ``inverse[i]`` is, bit for bit, the one
+        :func:`decay_matrix` gives node ``i``'s own row."""
         dc = self._decay.get(grid)
         if dc is None:
-            first, inverse, _ = self.groups
-            dc = self._decay[grid] = decay_matrix(self.counts[first], grid)[inverse]
+            dc = self._decay[grid] = decay_matrix(self.counts[self.groups[0]], grid)
             dc.flags.writeable = False
         return dc
 

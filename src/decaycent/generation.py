@@ -120,9 +120,14 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def validate_np(n: int, p: float) -> None:
     """Reject a node count or link probability that G(n, p) sampling
-    cannot use."""
+    cannot use.  :func:`_floyd_vals` replays bounded draws on uint32
+    bounds, so the pair count ``n (n - 1) / 2`` must stay below ``2**32``."""
     if n < 2:
         raise ValueError(f"need at least two nodes, got {n}")
+    if n * (n - 1) // 2 > 2**32 - 1:
+        raise ValueError(
+            f"at most 92682 nodes (n (n - 1) / 2 pairs up to 2**32 - 1), got {n}"
+        )
     if not (0.0 < p <= 1.0):
         raise ValueError(f"link probability must lie in (0, 1], got {p!r}")
 
@@ -257,7 +262,7 @@ def _floyd_vals(rng: np.random.Generator, pop: int, ks: np.ndarray) -> np.ndarra
     leave it.  Every ``k`` is below ``pop`` (:func:`_first_connected`
     stops its runs before the first full count), so every bound is at
     least 2.  Valid while ``pop <= 2**32 - 1``, that is ``n <= 92682``
-    nodes; :func:`_pair_index` cannot allocate a larger ``n``.
+    nodes, the ceiling :func:`validate_np` enforces.
     """
     bounds = np.concatenate([
         _cached_bounds(pop, k) if 2 * k <= CHUNK_DRAWS else _bounds(pop, k)

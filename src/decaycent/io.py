@@ -62,18 +62,13 @@ class GraphParseError(ValueError):
 
 def parse_edgelist(text: str, name: str = "<edgelist>") -> Graph:
     lines = text.splitlines()
-    header_at = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header_at = lineno
-            break
-    if header_at is None:
+    numbered = [(lineno, raw) for lineno, raw in enumerate(lines, start=1) if raw.strip()]
+    if not numbered:
         raise GraphParseError(f"{name}:1: empty file, expected a 'n m' header")
-    parts = lines[header_at - 1].split()
+    (header_at, header), *rows = numbered
+    parts = header.split()
     if len(parts) != 2:
-        raise GraphParseError(
-            f"{name}:{header_at}: expected header 'n m', got {lines[header_at - 1]!r}"
-        )
+        raise GraphParseError(f"{name}:{header_at}: expected header 'n m', got {header!r}")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
@@ -81,11 +76,7 @@ def parse_edgelist(text: str, name: str = "<edgelist>") -> Graph:
             f"{name}:{header_at}: header values must be integers"
         ) from None
     edges: list[tuple[int, int]] = []
-    lineno = header_at
-    for raw in lines[header_at:]:
-        lineno += 1
-        if not raw.strip():
-            continue
+    for lineno, raw in rows:
         parts = raw.split()
         if len(parts) != 2:
             raise GraphParseError(
@@ -100,7 +91,7 @@ def parse_edgelist(text: str, name: str = "<edgelist>") -> Graph:
         edges.append((u, v))
     if len(edges) != m:
         raise GraphParseError(
-            f"{name}:{lineno}: header promised {m} edges, found {len(edges)}"
+            f"{name}:{len(lines)}: header promised {m} edges, found {len(edges)}"
         )
     try:
         return build_graph(n, edges)
@@ -280,10 +271,9 @@ def centrality_csv(table: CentralityTable, grid: DeltaGrid) -> str:
     ]
     tail = ",%d,%d" + ",%.9g" * (len(grid.values) + 1)
     first, inverse, _ = table.groups
-    first = first.tolist()
     tails = [
         tail % (table.degrees[f], table.farness[f], 1.0 / table.farness[f], *dcs)
-        for f, dcs in zip(first, table.decay_values(grid)[first].tolist())
+        for f, dcs in zip(first.tolist(), table.decay_values(grid).tolist())
     ]
     lines = [",".join(header)]
     lines.extend(f"{i}{tails[k]}" for i, k in enumerate(inverse.tolist()))
@@ -295,29 +285,20 @@ def centrality_payload(table: CentralityTable, grid: DeltaGrid, maximizers: Maxi
     """JSON payload for the centrality report; ``full`` adds the profile and
     signed-farness / reciprocal vectors per node.  The decay values come
     from ``table.decay_values(grid)``, so a :func:`centrality_csv` of the
-    same table and grid has already built them.  Each list is built once
-    per profile group, and the nodes of a group share it."""
+    same table and grid has already built them.  Each group's entry is
+    built once, and each of its nodes' entries is its id followed by the
+    group's, so the nodes of a group share every list."""
     first, inverse, _ = table.groups
-    first = first.tolist()
-    dcs = table.decay_values(grid)[first].tolist()
-    if full:
-        extras = [
-            {"profile": table.profile(f), "fvec": list(table.fvecs[f]),
-             "cvec": list(cvec_from_fvec(table.fvecs[f]))}
-            for f in first
-        ]
-    nodes = []
-    for i, k in enumerate(inverse.tolist()):
-        entry: dict[str, Any] = {
-            "node": i,
-            "degree": table.degrees[i],
-            "farness": table.farness[i],
-            "closeness": 1.0 / table.farness[i],
-            "dc": dcs[k],
-        }
+    groups = []
+    for f, dcs in zip(first.tolist(), table.decay_values(grid).tolist()):
+        entry = {"degree": table.degrees[f], "farness": table.farness[f],
+                 "closeness": 1.0 / table.farness[f], "dc": dcs}
         if full:
-            entry.update(extras[k])
-        nodes.append(entry)
+            fvec = table.fvecs[f]
+            entry.update(profile=table.profile(f), fvec=list(fvec),
+                         cvec=list(cvec_from_fvec(fvec)))
+        groups.append(entry)
+    nodes = [{"node": i, **groups[k]} for i, k in enumerate(inverse.tolist())]
     # one list per distinct decay maximizer set, shared like the dc lists
     decay_sets = {s: sorted(s) for s in set(maximizers.by_decay)}
     return {

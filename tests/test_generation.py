@@ -20,6 +20,7 @@ from decaycent.generation import (
     _floyd_vals,
     pairs_connected,
     sample_connected_gnp,
+    validate_np,
 )
 from decaycent.graph import distance_matrix, graph_from_pair_arrays
 
@@ -288,6 +289,13 @@ class TestSampleConnectedGnp:
             sample_connected_gnp(5, 0.0, TrialSeed(0, 0))
         with pytest.raises(ValueError):
             sample_connected_gnp(5, 1.2, TrialSeed(0, 0))
+
+    def test_node_ceiling(self):
+        # the replay's uint32 bounds hold n (n - 1) / 2 <= 2**32 - 1 pairs;
+        # checked without sampling, which would allocate every pair
+        validate_np(92682, 0.5)
+        with pytest.raises(ValueError, match="at most 92682 nodes"):
+            validate_np(92683, 0.5)
 
     def test_determinism_graph_and_reject_count(self):
         a, ra = sample_connected_gnp(10, 0.15, TrialSeed(3, 4))

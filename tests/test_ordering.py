@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decaycent import ordering
 from decaycent.centrality import (
     DeltaGrid,
     centrality_table,
+    cvec_from_fvec,
     dc_difference_float,
     decay_centrality,
     decay_matrix,
@@ -86,6 +87,20 @@ class TestLexCompareCvec:
         v = lex_compare_cvec((5, -2, 0), (5, -3, 0))
         assert v.relation is Relation.LESS
         assert v.detail == 1
+
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(*(
+        st.lists(st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6)),
+                 min_size=k, max_size=k) for _ in range(2)))))
+    @example(([3, 0], [3, -1]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lex_order_of_the_reciprocals(self, pair):
+        # entries of mixed sign after an equal prefix, which no two profiles
+        # of one graph reach: equal totals and leading entries force equal
+        # eccentricity.  (3, 0) vs (3, -1) is 0.0 > -1.0: GREATER
+        fi, fj = pair
+        ci, cj = cvec_from_fvec(fi), cvec_from_fvec(fj)
+        want = Relation.GREATER if ci > cj else Relation.LESS if ci < cj else Relation.EQUAL
+        assert lex_compare_cvec(fi, fj).relation is want
 
     def test_reversal_of_farness_lex_on_random_graphs(self):
         for idx in range(6):
@@ -262,6 +277,18 @@ class TestLowDeltaConditions:
         signs, _ = decay_signs(pm, np.array([0]), 4, grid.array[low], grid.fractions()[low])
         assert (signs > 0).all()
 
+    def test_condition_1_on_its_boundary(self):
+        # P_4 as 1 - 0 - 3 - 2: i = 0 has profile (2, 1, 0), j = 1 has
+        # (1, 1, 1), so 2*A1 = 2 = (n-1) - deg_j, and the condition holds with
+        # equality; i is still strictly ahead on all of (0, 1/2]
+        pm = profile_matrix(build_graph(4, [(0, 1), (0, 3), (2, 3)]))
+        assert pm[[0, 1]].tolist() == [[2, 1, 0], [1, 1, 1]]
+        assert 1 in check_low_delta_conditions(pm[0], pm[1]).satisfied
+        grid = DeltaGrid.uniform(999)
+        low = np.flatnonzero(grid.array <= 0.5)
+        signs, _ = decay_signs(pm, np.array([0]), 1, grid.array[low], grid.fractions()[low])
+        assert (signs > 0).all()
+
     def test_fired_condition_implies_low_range_order(self):
         deltas = [k / 100 for k in range(1, 51)]  # (0, 0.5]
         for idx in range(8):
@@ -296,6 +323,21 @@ class TestHighDeltaConditions:
         # swapped pair only
         res = check_high_delta_conditions(t.fvecs[0], t.fvecs[1])
         assert not res.applicable
+
+    def test_condition_2_on_its_boundary(self):
+        # i = 1 has fvec (10, -6, 1, 0, 0), j = 5 has (11, -8, 2, 0, 0), so
+        # B = (-1, 2, -1, 0, 0): condition 1 fails, and the largest
+        # |B1 + ... + Bk| over k = 2 .. 4 is 1 = |B1|, so condition 2 holds
+        # with equality; i is still strictly ahead on all of [1/2, 1)
+        g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 5)])
+        t = centrality_table(g)
+        assert (t.fvecs[1], t.fvecs[5]) == ((10, -6, 1, 0, 0), (11, -8, 2, 0, 0))
+        assert check_high_delta_conditions(t.fvecs[1], t.fvecs[5]).satisfied == {2}
+        grid = DeltaGrid.uniform(999)
+        high = np.flatnonzero(grid.array >= 0.5)
+        signs, _ = decay_signs(t.counts, np.array([1]), 5, grid.array[high],
+                               grid.fractions()[high])
+        assert (signs > 0).all()
 
     def test_fired_condition_implies_high_range_order(self):
         deltas = [k / 100 for k in range(50, 100)]  # [0.5, 1)

@@ -240,8 +240,10 @@ class TestCentralityCsv:
         assert builds == [grid]
         dc = table.decay_values(grid)
         assert not dc.flags.writeable
-        assert [node["dc"] for node in payload["nodes"]] == dc.tolist()
-        assert csv_text.splitlines()[1].endswith(",".join(fmt_float(v) for v in dc[0]))
+        first, inverse, _ = table.groups
+        assert dc.shape == (len(first), len(grid))
+        assert [node["dc"] for node in payload["nodes"]] == dc[inverse].tolist()
+        assert csv_text.splitlines()[1].endswith(",".join(fmt_float(v) for v in dc[inverse[0]]))
 
 
 class TestCentralityPayload:

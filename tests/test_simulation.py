@@ -495,6 +495,12 @@ class TestRunExperiment:
         summary = json.loads(result.summary_path.read_text())
         assert summary["results"]["failed_trials"] == failed
 
+    def test_config_node_ceiling(self):
+        # the sampler's ceiling stops a run before it writes any file
+        SimulationConfig(n=92682, p=0.5, trials=1, seed=0)
+        with pytest.raises(ValueError, match="at most 92682 nodes"):
+            SimulationConfig(n=92683, p=0.5, trials=1, seed=0)
+
     def test_summary_has_config_echo_and_conventions(self, tmp_path):
         cfg = SimulationConfig(n=8, p=0.5, trials=3, seed=11, grid_points=7)
         result = run_experiment(cfg, tmp_path / "s")
