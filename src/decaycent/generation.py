@@ -41,8 +41,12 @@ bound is at least 2.  The shuffle's draws are consumed but not applied,
 because the order of an edge set does not change the graph.  A chunk may
 draw past the attempt that is accepted, or past the rejection budget.
 That is still exact: each batch's stream is thrown away once its batch
-returns or runs out, so nothing reads those extra draws.  Tail-shuffle
-attempts keep one ``choice`` call each.
+returns or runs out, so nothing reads those extra draws.  So chunk sizes
+are free: a stream's first chunk holds about the expected number of
+attempts per connected graph (:func:`_first_chunk`), one attempt where
+few are expected, and each later chunk twice as many, all cut at
+:data:`CHUNK_DRAWS` draws.  Tail-shuffle attempts keep one ``choice``
+call each.
 
 Full draws.  An attempt whose count is ``pop`` chooses every pair,
 whatever its draws are, and K_n is connected.  So the first such attempt
@@ -53,6 +57,7 @@ written directly (:func:`_complete_graph`), with no key sort.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count as _count
@@ -68,8 +73,11 @@ BATCH_SIZE = 2048
 
 DEFAULT_MAX_REJECTS = 100_000
 
-#: Upper bound on the bounded draws one chunk of Floyd attempts makes in a
-#: single call; it caps the chunk's arrays, not the stream layout.
+#: Cap on the bounded draws a chunk of several Floyd attempts makes in one
+#: call: a chunk stops before the attempt that would take it past this.  A
+#: single attempt that draws more is a chunk of its own (G(141, .5) makes
+#: up to 9,869 draws per attempt).  It caps the chunk's arrays, not the
+#: stream layout.
 CHUNK_DRAWS = 1 << 13
 
 
@@ -313,8 +321,25 @@ def _complete_graph(n: int) -> Graph:
     return Graph(n=n, indptr=np.arange(n + 1) * (n - 1), indices=indices)
 
 
+def _first_chunk(n: int, p: float) -> int:
+    """Attempts in a stream's first chunk of Floyd attempts: the expected
+    attempts per connected G(n, p) graph, rounded down, and at least 1.
+
+    The estimate is ``exp(n (1 - p)**(n - 1))``, which is 1 / P(no
+    isolated vertex) in the Poisson approximation.  A connected graph has
+    no isolated vertex, so 1 / P(no isolated vertex) is at most 1 /
+    P(connected), the expected attempts; the approximation can pass it
+    only at a few nodes (G(2, .3): 4.06 against 3.33).  A chunk that is
+    too large only draws past the accepted attempt, which changes no
+    result.  A stream holds at most :data:`BATCH_SIZE` attempts, so the
+    exponent is capped at ``log(BATCH_SIZE)``, also because ``math.exp``
+    overflows above 709.
+    """
+    return max(1, int(math.exp(min(n * (1.0 - p) ** (n - 1), math.log(BATCH_SIZE)))))
+
+
 def _first_connected(
-    rng: np.random.Generator, n: int, counts: np.ndarray
+    rng: np.random.Generator, n: int, counts: np.ndarray, first: int
 ) -> tuple[int, tuple[np.ndarray, np.ndarray] | None] | None:
     """The first attempt of ``counts`` whose edge draw is connected, as
     ``(position, (us, vs))``, or ``None``.  Draws from ``rng`` what the
@@ -325,14 +350,16 @@ def _first_connected(
     drawing, as ``(position, None)``: its edge set is every pair.
 
     A tail-shuffle attempt is one ``choice`` call.  Runs of Floyd-branch
-    attempts go in chunks whose size doubles from one attempt, cut at the
-    next tail-shuffle attempt and at :data:`CHUNK_DRAWS` draws (a chunk
-    always holds at least one attempt).  A chunk's isolated-vertex kill is
-    vectorised: an attempt's set holds all its vals and lies within its
-    vals plus its ``j``, the last ``k`` pairs, which touch every node from
-    ``iu[pop - k]`` on.  So an attempt whose vals and ``j`` leave a node
-    untouched is rejected exactly.  The others are rebuilt and swept in
-    order.
+    attempts go in chunks: the first holds ``first`` attempts
+    (:func:`_first_chunk`) and each later one twice as many as the one
+    before.  Every chunk is cut at the next tail-shuffle attempt and at
+    :data:`CHUNK_DRAWS` draws (a chunk always holds at least one
+    attempt).  Chunk sizes do not change the draws, only how many are
+    made at once.  A chunk's isolated-vertex kill is vectorised: an
+    attempt's set holds all its vals and lies within its vals plus its
+    ``j``, the last ``k`` pairs, which touch every node from ``iu[pop -
+    k]`` on.  So an attempt whose vals and ``j`` leave a node untouched is
+    rejected exactly.  The others are rebuilt and swept in order.
     """
     iu, ju = _pair_index(n)
     pop = len(iu)
@@ -344,8 +371,10 @@ def _first_connected(
     # each attempt's next tail-shuffle attempt, or the end
     tails = np.flatnonzero(~floyd)
     next_tail = np.append(tails, len(ks))
+    # draws made through each attempt: strictly rising, as every attempt draws
+    drawn_to = np.cumsum(2 * ks - 1)
     nodes = np.arange(n)
-    i, size = 0, 1
+    i, size = 0, first
     while i < len(ks):
         if not floyd[i]:
             us, vs = _draw_edges(rng, n, int(ks[i]))
@@ -353,9 +382,10 @@ def _first_connected(
                 return int(drawn[i]), (us, vs)
             i += 1
             continue
-        stop = min(i + size, int(next_tail[np.searchsorted(tails, i)]))
-        drawn_to = np.cumsum(2 * ks[i:stop] - 1)
-        stop = i + max(1, int(np.searchsorted(drawn_to, CHUNK_DRAWS, "right")))
+        cap = (int(drawn_to[i - 1]) if i else 0) + CHUNK_DRAWS
+        stop = min(i + size, int(next_tail[np.searchsorted(tails, i)]),
+                   int(np.searchsorted(drawn_to, cap, "right")))
+        stop = max(i + 1, stop)
         size *= 2
         run = ks[i:stop]
         vals = _floyd_vals(rng, pop, run)
@@ -391,12 +421,13 @@ def sample_connected_gnp(
     validate_np(n, p)
     m_all = n * (n - 1) // 2
     budget = max(max_rejects, 0) + 1
+    first = _first_chunk(n, p)
     tried = 0
     for batch_index in _count():
         rng = seed.stream(batch_index)
         counts = rng.binomial(m_all, p, size=BATCH_SIZE)
         live = min(BATCH_SIZE, budget - tried)
-        hit = _first_connected(rng, n, counts[:live])
+        hit = _first_connected(rng, n, counts[:live], first)
         if hit is not None:
             pos, edges = hit
             g = _complete_graph(n) if edges is None else graph_from_pair_arrays(n, *edges)

@@ -15,6 +15,7 @@ from decaycent.generation import (
     TrialSeed,
     _complete_graph,
     _draw_edges,
+    _first_chunk,
     _floyd_branch,
     _floyd_set,
     _floyd_vals,
@@ -248,6 +249,57 @@ class TestSamplerMatchesPerAttemptChoice:
             seed = TrialSeed(32, idx)
             assert batched_sample(n, p, seed, 3 * BATCH_SIZE) == \
                 per_attempt_sample(n, p, seed, 3 * BATCH_SIZE), (n, p, idx)
+
+
+class TestChunkSchedule:
+    """Chunk sizes set how many Floyd draws are made at once, never which
+    ones, so any first-chunk rule gives the same graphs and reject counts."""
+
+    @pytest.mark.parametrize("n,p", [(50, 0.04), (100, 0.03), (10, 0.05), (200, 0.02)])
+    @pytest.mark.parametrize("max_rejects", [0, 5, 3 * BATCH_SIZE])
+    def test_first_chunk_rule_keeps_results(self, n, p, max_rejects, monkeypatch):
+        floyd_vals = generation._floyd_vals
+        chunks = []
+
+        def counted(rng, pop, ks):
+            chunks.append(len(ks))
+            return floyd_vals(rng, pop, ks)
+
+        monkeypatch.setattr(generation, "_floyd_vals", counted)
+        results, calls = {}, {}
+        for rule in ("one", "estimate", "whole run"):
+            if rule == "one":
+                monkeypatch.setattr(generation, "_first_chunk", lambda n, p: 1)
+            elif rule == "estimate":
+                monkeypatch.setattr(generation, "_first_chunk", _first_chunk)
+            else:
+                # one chunk up to the next tail-shuffle attempt
+                monkeypatch.setattr(generation, "_first_chunk", lambda n, p: BATCH_SIZE)
+                monkeypatch.setattr(generation, "CHUNK_DRAWS", 1 << 40)
+            chunks.clear()
+            results[rule] = [batched_sample(n, p, TrialSeed(33, idx), max_rejects)
+                             for idx in range(4)]
+            calls[rule] = len(chunks)
+        assert results["one"] == results["estimate"] == results["whole run"]
+        # a larger first chunk never makes more chunks, and at G(50, .04),
+        # where a stream runs many attempts, it makes fewer
+        assert calls["one"] >= calls["estimate"] >= calls["whole run"]
+        if (n, p, max_rejects) == (50, 0.04, 3 * BATCH_SIZE):
+            assert calls["one"] > calls["estimate"] > calls["whole run"]
+
+    @pytest.mark.parametrize("n,p", [(5, 1.0), (200, 1.0), (30, 0.15), (10, 0.3), (100, 0.5)])
+    def test_one_attempt_where_few_are_expected(self, n, p):
+        assert _first_chunk(n, p) == 1
+
+    def test_sized_from_expected_attempts(self):
+        # G(50, .04) takes about 1,544 attempts per connected graph
+        assert 100 <= _first_chunk(50, 0.04) <= 1 / connected_probability(50, 0.04)
+        assert 1 < _first_chunk(20, 0.1) <= 1 / connected_probability(20, 0.1)
+
+    def test_exponent_past_exp_range(self):
+        # n (1 - p)**(n - 1) is about 812, where math.exp overflows
+        assert 6000 * (1 - 1 / 3000) ** 5999 > 709
+        assert BATCH_SIZE // 2 < _first_chunk(6000, 1 / 3000) <= BATCH_SIZE
 
 
 class TestSampleConnectedGnp:

@@ -468,16 +468,30 @@ class TestRunExperiment:
         assert files["a"] == files["b"]
         assert files["a"] == files["c"]
 
-    def test_complete_graph_outputs_across_workers(self, tmp_path):
-        # p = 1 takes the sampler's full-draw path on every trial
-        base = dict(n=12, p=1.0, trials=6, seed=11, grid_points=9)
+    @staticmethod
+    def outputs_at_workers(tmp_path, **base):
+        """``records.csv`` and ``aggregate.csv`` of one config, as bytes, at
+        one worker and at two."""
         files = []
         for workers in (1, 2):
             result = run_experiment(SimulationConfig(workers=workers, **base),
                                     tmp_path / str(workers))
             files.append((result.records_path.read_bytes(),
                           result.aggregate_path.read_bytes()))
-        assert files[0] == files[1]
+        return files
+
+    def test_complete_graph_outputs_across_workers(self, tmp_path):
+        # p = 1 takes the sampler's full-draw path on every trial
+        one, two = self.outputs_at_workers(tmp_path, n=12, p=1.0, trials=6, seed=11,
+                                           grid_points=9)
+        assert one == two
+
+    def test_sparse_outputs_across_workers(self, tmp_path):
+        # G(50, .04) takes about 1,544 attempts per graph, so each stream
+        # starts with a full chunk of Floyd attempts
+        one, two = self.outputs_at_workers(tmp_path, n=50, p=0.04, trials=6, seed=13,
+                                           grid_points=9)
+        assert one == two
 
     def test_failed_generations_are_reported_not_dropped(self, tmp_path):
         # max_rejects=1 at G(10, .2): half the generations fail, so both
